@@ -38,6 +38,7 @@ from .gapforest import (
     gap_family,
     gap_union_measure,
     gap_union_partial,
+    require_base,
     small_ratio_indices,
     smallest_valid_base,
 )
@@ -292,12 +293,7 @@ def classify(
                 report=depth_report(seq, report_depth, budget),
             )
     else:
-        ratio = seq.ratio_at(base + 1)
-        if base < 0 or ratio <= THIRD:
-            raise AssumptionError(
-                f"base {base} is invalid: ratio {ratio} at depth {base + 1} "
-                "must be strictly above 1/3"
-            )
+        require_base(seq, base)
         use_base = base
 
     residuals = equation_residuals(seq, use_base)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .classify import (
+    VERDICT_CANTOR,
     VERDICT_CANTORVAL,
     Certificate,
     classify,
@@ -116,10 +117,10 @@ def _resolve_cli_budget(args) -> int | None:
     return None
 
 
-def _depth(args, default: int) -> int:
+def _depth(args, default: int, minimum: int = 0) -> int:
     depth = default if args.depth is None else args.depth
-    if depth < 0:
-        raise SpecValidationError("--depth must be >= 0")
+    if depth < minimum:
+        raise SpecValidationError(f"--depth must be >= {minimum}")
     return depth
 
 
@@ -175,7 +176,8 @@ def _cmd_approx(args, budget):
 def _cmd_gaps(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     base = smallest_valid_base(seq) if args.k0 is None else args.k0
-    levels = _depth(args, 3)
+    # the root family starts at level 1
+    levels = _depth(args, 3, minimum=1)
     family = gap_family(seq, (), levels, base)
     payload = family.to_json(seq)
     lines = [f"k0: {base}"]
@@ -245,7 +247,9 @@ def _cmd_series(args, budget):
 
 def _cmd_verify(args, budget):
     cert = Certificate.from_json(_load_input(args.spec))
-    checks = verify_certificate(cert, depth=_depth(args, 6), budget=budget)
+    # a CantorSet's measure check compares depths depth - 1 and depth
+    depth = _depth(args, 6, minimum=1 if cert.verdict == VERDICT_CANTOR else 0)
+    checks = verify_certificate(cert, depth=depth, budget=budget)
     passed = verification_passed(checks)
     payload = {"passed": passed, "checks": [c.to_json() for c in checks]}
     lines = [

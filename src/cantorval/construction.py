@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .budget import charge
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational_list
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -85,8 +85,8 @@ class RatioSequence:
         unknown = set(data) - {"prefix", "period"}
         if unknown:
             raise SpecValidationError(f"unknown ratio sequence keys: {sorted(unknown)}")
-        prefix = [parse_rational(x) for x in data.get("prefix", [])]
-        period = [parse_rational(x) for x in data.get("period", [])]
+        prefix = parse_rational_list("ratio sequence prefix", data.get("prefix", []))
+        period = parse_rational_list("ratio sequence period", data.get("period", []))
         return cls(prefix=tuple(prefix), period=tuple(period))
 
 

@@ -7,6 +7,14 @@ depth-n difference set is a union of 3^n coded intervals of length
 anchored at its left end, center and right end; a child step with ratio
 below 1/3 opens two gaps, a step with ratio at least 1/3 leaves two
 overlaps instead.
+
+diff_approximation never lists the 3^n coded intervals. A Minkowski sum
+distributes over unions, so the depth-n set is built by self-similar folding
+from the finest level up: S_{n+1} = [0, 2 d_n], S_r is the normalized union
+of S_{r+1} shifted by 0, w_r and 2 w_r with w_r = d_{r-1} - d_r, and the
+result is S_1 - 1. The cost is the sum over levels of 3*|S_{r+1}| parts, not
+3^n: far fewer parts when overlaps merge, and 3^n only where every part
+survives. The budget still counts the 3^n coded intervals a depth stands for.
 """
 
 from __future__ import annotations
@@ -70,22 +78,53 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
         raise ValueError("depth must be >= 0")
     charge(3**depth, budget)
     dints, denom = scaled_lengths(seq, depth)
-    lefts = [-denom]
-    for r in range(1, depth + 1):
+    # parts of S_{r+1}, sorted and disjoint, as integers over denom; the answer is S_1 - 1
+    los, his = [0], [2 * dints[depth]]
+    for r in range(depth, 0, -1):
         w = dints[r - 1] - dints[r]
-        lefts = [x + t for x in lefts for t in (0, w, 2 * w)]
-    # left endpoints are not monotone in code order once some ratio exceeds 1/3
-    lefts.sort()
-    size = 2 * dints[depth]
-    merged: list[list[int]] = []
-    for x in lefts:
-        if merged and x <= merged[-1][1]:
-            merged[-1][1] = x + size
+        if 3 * dints[r] < dints[r - 1]:
+            # ratio below 1/3: the copies' hulls [k*w, k*w + 2 d_r] lie strictly apart
+            los = los + [x + w for x in los] + [x + 2 * w for x in los]
+            his = his + [x + w for x in his] + [x + 2 * w for x in his]
         else:
-            merged.append([x, x + size])
+            los, his = _union_of_copies(los, his, w)
     return IntervalUnion(
-        tuple(ClosedInterval(Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in merged)
+        tuple(
+            ClosedInterval(Fraction(lo - denom, denom), Fraction(hi - denom, denom))
+            for lo, hi in zip(los, his)
+        )
     )
+
+
+def _union_of_copies(los: list[int], his: list[int], w: int) -> tuple[list[int], list[int]]:
+    """Normalized union of the parts shifted by 0, w and 2w, in one linear merge.
+
+    Ratios stay below 1/2, so w > d_r and the copy shifted by 2w starts past
+    the end of the unshifted one: those two concatenate into one sorted run,
+    and only the middle copy has to be merged in. Touching parts merge.
+    """
+    a_lo = los + [x + 2 * w for x in los]
+    a_hi = his + [x + 2 * w for x in his]
+    b_lo = [x + w for x in los]
+    b_hi = [x + w for x in his]
+    out_lo: list[int] = []
+    out_hi: list[int] = []
+    i = j = 0
+    na, nb = len(a_lo), len(b_lo)
+    while i < na or j < nb:
+        if j == nb or (i < na and a_lo[i] <= b_lo[j]):
+            lo, hi = a_lo[i], a_hi[i]
+            i += 1
+        else:
+            lo, hi = b_lo[j], b_hi[j]
+            j += 1
+        if out_hi and lo <= out_hi[-1]:
+            if hi > out_hi[-1]:
+                out_hi[-1] = hi
+        else:
+            out_lo.append(lo)
+            out_hi.append(hi)
+    return out_lo, out_hi
 
 
 def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> OpenInterval:

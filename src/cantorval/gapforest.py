@@ -34,9 +34,10 @@ def _require_mixed(seq: RatioSequence) -> None:
         raise AssumptionError(f"every ratio is eventually at least 1/3; {_MIXED_HYPOTHESIS}")
 
 
-def _require_base(seq: RatioSequence, base: int) -> None:
+def require_base(seq: RatioSequence, base: int) -> None:
+    """Raise AssumptionError unless base >= 0 and the ratio after it is above 1/3."""
     if base < 0:
-        raise ValueError("base must be >= 0")
+        raise AssumptionError(f"base {base} is invalid: it must be >= 0")
     ratio = seq.ratio_at(base + 1)
     if ratio <= THIRD:
         raise AssumptionError(
@@ -59,7 +60,7 @@ def smallest_valid_base(seq: RatioSequence) -> int:
 def small_ratio_indices(seq: RatioSequence, base: int, count: int) -> list[int]:
     """First `count` depths beyond `base` whose ratio is below 1/3, ascending."""
     _require_mixed(seq)
-    _require_base(seq, base)
+    require_base(seq, base)
     out = []
     j = base + 1
     while len(out) < count:
@@ -71,7 +72,7 @@ def small_ratio_indices(seq: RatioSequence, base: int, count: int) -> list[int]:
 
 def iter_small_ratio_indices(seq: RatioSequence, base: int) -> Iterator[int]:
     _require_mixed(seq)
-    _require_base(seq, base)
+    require_base(seq, base)
     j = base + 1
     while True:
         if seq.ratio_at(j) < THIRD:
@@ -88,7 +89,7 @@ class SmallIndexView:
 
     def __post_init__(self):
         _require_mixed(self.sequence)
-        _require_base(self.sequence, self.base)
+        require_base(self.sequence, self.base)
 
     def indices(self, count: int) -> list[int]:
         return small_ratio_indices(self.sequence, self.base, count)
@@ -212,7 +213,7 @@ def small_index_series(
     series is a finite head plus one geometric tail per block position.
     """
     _require_mixed(seq)
-    _require_base(seq, base)
+    require_base(seq, base)
     prefix_len = len(seq.prefix)
     per_period = sum(1 for r in seq.period if r < THIRD)
     ratio = Fraction(growth) ** per_period * seq.period_product
@@ -252,7 +253,7 @@ def gap_union_measure(seq: RatioSequence) -> Fraction:
     d(k_n - 1) - 3*d(k_n).
     """
     _require_mixed(seq)
-    _require_base(seq, 0)
+    require_base(seq, 0)
     return 2 * small_index_series(seq, 0, growth=3, shrink=Fraction(3))
 
 

@@ -20,5 +20,11 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_rational_list(label: str, values) -> list[Fraction]:
+    if not isinstance(values, list):
+        raise SpecValidationError(f"{label} must be a list of rationals, got {values!r}")
+    return [parse_rational(x) for x in values]
+
+
 def format_rational(value: Fraction) -> str:
     return str(value)

@@ -23,7 +23,7 @@ from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, merge_scaled, union_from_scaled
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_rational_list
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -102,8 +102,8 @@ class MultigeometricSeries:
         if "ratio" not in data:
             raise SpecValidationError("series needs a ratio")
         return cls(
-            prefix=tuple(parse_rational(x) for x in data.get("prefix", [])),
-            block=tuple(parse_rational(x) for x in data.get("block", [])),
+            prefix=tuple(parse_rational_list("series prefix", data.get("prefix", []))),
+            block=tuple(parse_rational_list("series block", data.get("block", []))),
             ratio=parse_rational(data["ratio"]),
         )
 

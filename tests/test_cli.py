@@ -171,6 +171,33 @@ class TestExitCodes:
         monkeypatch.setenv("CANTORVAL_BUDGET", "not-a-number")
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "2", expect=2)
 
+    def test_depth_below_minimum(self, capsys, tmp_path):
+        _, err = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "0", expect=2)
+        assert err == "error: --depth must be >= 1\n"
+        cert_out, _ = run(capsys, "classify", "--spec", SMALL_SPEC)
+        assert json.loads(cert_out)["verdict"] == "CantorSet"
+        cert_file = tmp_path / "cantor.json"
+        cert_file.write_text(cert_out, encoding="utf-8")
+        _, err = run(capsys, "verify", "--spec", str(cert_file), "--depth", "0", expect=2)
+        assert err == "error: --depth must be >= 1\n"
+        run(capsys, "verify", "--spec", str(cert_file), "--depth", "1")
+
+    def test_negative_base_is_hypothesis_error(self, capsys):
+        for command in ("classify", "measure", "gaps"):
+            _, err = run(capsys, command, "--spec", EX1_SPEC, "--k0", "-1", expect=3)
+            assert err.startswith("error: base -1 is invalid") and err.count("\n") == 1
+
+    def test_ratio_lists_must_be_lists(self, capsys):
+        for spec, key in (
+            ('{"lambda": {"prefix": 5, "period": ["1/4"]}}', "prefix"),
+            ('{"lambda": {"prefix": [], "period": "1/4"}}', "period"),
+        ):
+            _, err = run(capsys, "classify", "--spec", spec, expect=2)
+            assert f"{key} must be a list" in err and err.count("\n") == 1
+        spec = '{"series": {"prefix": [], "block": "1", "ratio": "1/9"}}'
+        _, err = run(capsys, "series", "--spec", spec, expect=2)
+        assert "block must be a list" in err
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval import (
     AssumptionError,
     ClosedInterval,
+    DepthBudgetError,
     GapRef,
+    RatioSequence,
     cantor_approximation,
     code_str,
     depth_length,
@@ -20,9 +22,11 @@ from cantorval import (
     kept_interval,
     length_drop,
     minkowski_diff,
+    normalize,
     overlap_at,
     parse_code,
 )
+from cantorval.construction import THIRD
 from cantorval.diffsets import validate_code
 from specimens import EX1, EX1_LEVEL1_GAP0
 from strategies import ratio_sequences
@@ -87,14 +91,20 @@ class TestDiffApproximation:
         for p in u.parts:
             assert coarser.contains(p.lo) and coarser.contains(p.hi)
 
-    def test_equals_brute_force_code_union(self):
-        from cantorval import normalize
+    # a ratio of exactly 1/3 makes neighbouring copies touch at one point
+    @example(RatioSequence.constant(THIRD), 6)
+    @example(RatioSequence(prefix=(F(1, 4),), period=(THIRD, F(2, 5))), 7)
+    @example(RatioSequence(prefix=(), period=(THIRD, F(1, 5), F(7, 15))), 7)
+    @settings(max_examples=40, deadline=None)
+    @given(ratio_sequences(), st.integers(0, 7))
+    def test_equals_brute_force_code_union(self, seq, n):
+        brute = normalize(diff_interval(seq, s) for s in product((0, 1, 2), repeat=n))
+        assert diff_approximation(seq, n) == brute
 
-        for n in range(4):
-            brute = normalize(
-                diff_interval(EX1, s) for s in product((0, 1, 2), repeat=n)
-            )
-            assert diff_approximation(EX1, n) == brute
+    def test_budget_counts_every_coded_interval(self):
+        with pytest.raises(DepthBudgetError) as exc:
+            diff_approximation(RatioSequence.constant(F(1, 4)), 16, budget=10**6)
+        assert exc.value.needed == 3**16
 
 
 class TestGapsAndOverlaps:
