@@ -21,7 +21,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .budget import charge
@@ -30,7 +29,6 @@ from .construction import (
     RatioSequence,
     cantor_approximation,
     depth_length,
-    scaled_lengths,
 )
 from .diffsets import Code, code_str, diff_approximation, gap_bounds, validate_code
 from .errors import AssumptionError, SpecValidationError
@@ -60,6 +58,20 @@ RULE_UNKNOWN = "no-applicable-criterion"
 _VERDICTS = (VERDICT_FULL, VERDICT_FINITE, VERDICT_CANTOR, VERDICT_CANTORVAL, VERDICT_UNKNOWN)
 
 
+def _json_value(value, kind: type, label: str):
+    """A certificate value checked to be of the given JSON type; a bool is no int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SpecValidationError(f"{label} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _json_entry(data, key: str, label: str, kind: type = object):
+    """data[key] of a certificate object, which must be present."""
+    if not isinstance(data, dict) or key not in data:
+        raise SpecValidationError(f"{label} needs a {key!r} entry")
+    return _json_value(data[key], kind, f"{label} {key}")
+
+
 @dataclass(frozen=True)
 class ResidualEntry:
     """Exact lhs - rhs of the cover equation linking ratios at index and index+1."""
@@ -73,7 +85,11 @@ class ResidualEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "ResidualEntry":
-        return cls(int(data["index"]), str(data["case"]), parse_rational(data["value"]))
+        return cls(
+            _json_entry(data, "index", "residual", int),
+            str(_json_entry(data, "case", "residual")),
+            parse_rational(_json_entry(data, "value", "residual")),
+        )
 
 
 def equation_residuals(seq: RatioSequence, base: int | None = None) -> tuple[ResidualEntry, ...]:
@@ -155,11 +171,11 @@ class DepthRow:
     @classmethod
     def from_json(cls, data: dict) -> "DepthRow":
         return cls(
-            int(data["depth"]),
-            parse_rational(data["measure"]),
-            int(data["gap_count"]),
-            parse_rational(data["largest_gap"]),
-            bool(data["stable"]),
+            _json_entry(data, "depth", "report row", int),
+            parse_rational(_json_entry(data, "measure", "report row")),
+            _json_entry(data, "gap_count", "report row", int),
+            parse_rational(_json_entry(data, "largest_gap", "report row")),
+            bool(_json_entry(data, "stable", "report row")),
         )
 
 
@@ -225,24 +241,23 @@ class Certificate:
         if not isinstance(spec, dict) or "lambda" not in spec:
             raise SpecValidationError("certificate input must carry a lambda spec")
         seq = RatioSequence.from_json(spec["lambda"])
-        measure = data.get("measure")
-        residuals = data.get("residuals")
-        union = data.get("union")
-        report = data.get("report")
-        base = data.get("k0")
-        stable_depth = data.get("stable_depth")
+
+        def optional(key: str, kind: type = object):
+            value = data.get(key)
+            return None if value is None else _json_value(value, kind, f"certificate {key}")
+
+        measure, union = optional("measure"), optional("union")
+        residuals, report = optional("residuals", list), optional("report", list)
         return cls(
             sequence=seq,
             verdict=data["verdict"],
             rule=str(data.get("rule", "")),
             measure=None if measure is None else parse_rational(measure),
-            base=None if base is None else int(base),
-            residuals=None
-            if residuals is None
-            else tuple(ResidualEntry.from_json(e) for e in residuals),
-            stable_depth=None if stable_depth is None else int(stable_depth),
+            base=optional("k0", int),
+            residuals=None if residuals is None else tuple(map(ResidualEntry.from_json, residuals)),
+            stable_depth=optional("stable_depth", int),
             union=None if union is None else IntervalUnion.from_json(union),
-            report=None if report is None else tuple(DepthRow.from_json(r) for r in report),
+            report=None if report is None else tuple(map(DepthRow.from_json, report)),
         )
 
 
@@ -362,9 +377,8 @@ def cover_witness(
         raise AssumptionError(
             f"no gap below code {code_str(digits)}: ratio at depth {kn} is not below 1/3"
         )
+    # the kn-th small-ratio depth beyond the base is already >= kn
     ks = small_ratio_indices(seq, base, kn)
-    while ks[-1] < kn:
-        ks = small_ratio_indices(seq, base, len(ks) + (kn - ks[-1]))
     if kn not in ks:
         raise AssumptionError(f"depth {kn} is not a small-ratio depth beyond base {base}")
     return _witness_digits(digits, side, ks, len(root_digits))
@@ -386,14 +400,14 @@ def cover_alignment(
     ks = small_ratio_indices(seq, base, level + 1)
     kn = ks[level - 1]
     charge(2 * 3 ** (kn - 1 - len(digits)), budget)
-    family = gap_family(seq, digits, level, base).level(level)
+    family = gap_family(seq, digits, level, base, budget).level(level)
     family_keys = {(g.code, g.side) for g in family}
     offset = cover_offset(seq, level + 1, base)
 
-    dints0, denom0 = scaled_lengths(seq, kn)
-    denom = lcm(denom0, offset.denominator)
-    factor = denom // denom0
-    dints = [x * factor for x in dints0]
+    # the offset (3 d(k) + d(k - 1)) / 2, k = ks[level], is whole over 2 * table.denom
+    table = seq.depth_table(ks[level])
+    denom = 2 * table.denom
+    dints = [2 * x for x in table.ints]
     offset_int = offset.numerator * (denom // offset.denominator)
     weights = [dints[r - 1] - dints[r] for r in range(1, kn + 1)]
     d_n = dints[kn]
@@ -443,7 +457,7 @@ def _family_complement_check(
     family gaps of levels 1..N."""
     union = diff_approximation(seq, depth, budget)
     actual = [(g.lo, g.hi) for g in complement_gaps(union, ClosedInterval(Fraction(-1), Fraction(1)))]
-    family = gap_family(seq, (), levels, 0)
+    family = gap_family(seq, (), levels, 0, budget)
     expected = sorted(
         (b.lo, b.hi)
         for _, gaps in family.levels
@@ -466,6 +480,10 @@ def verify_certificate(
     verdict-specific geometric checks at the given depth, then the oracle
     cross-check of the coded enumeration against the pairwise product.
     """
+    # a CantorSet's measure check compares depths depth - 1 and depth
+    minimum = 1 if cert.verdict == VERDICT_CANTOR else 0
+    if depth < minimum:
+        raise ValueError(f"depth must be >= {minimum} to verify a {cert.verdict} certificate")
     seq = cert.sequence
     checks: list[Check] = []
 

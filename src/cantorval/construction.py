@@ -6,12 +6,18 @@ parent interval's length kept by each of its two children. Starting from
 ratios strictly below 1/2 keep the 2^n parts strictly separated, so each
 depth-n approximation is already a normalized union.
 
+Each sequence caches one exact depth table, extended lazily: d(0..n) as
+Fractions and as integers over a common denominator. depth_length,
+scaled_lengths and the endpoint formulas of diffsets read it instead of
+multiplying ratios or taking an lcm per call; it takes no part in equality,
+hashing, repr or JSON.
+
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -40,18 +46,48 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+class DepthTable:
+    """Exact depth lengths of one sequence: lengths[r] == d(r) == ints[r] / denom,
+    and denoms[r] is the least common denominator of d(0..r). Never mutated; a
+    plain class because a dataclass would cost every CLI run a millisecond."""
+
+    __slots__ = ("lengths", "ints", "denom", "denoms")
+
+    def __init__(self, lengths: tuple, ints: tuple, denom: int, denoms: tuple):
+        self.lengths, self.ints, self.denom, self.denoms = lengths, ints, denom, denoms
+
+
 @dataclass(frozen=True)
 class RatioSequence:
     """Eventually periodic ratio sequence: finite prefix, then a repeating period."""
 
     prefix: tuple[Fraction, ...] = ()
     period: tuple[Fraction, ...] = ()
+    _depths: DepthTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _coerce_entries("prefix", self.prefix))
         object.__setattr__(self, "period", _coerce_entries("period", self.period))
         if not self.period:
             raise SpecValidationError("period must contain at least one ratio")
+        object.__setattr__(self, "_depths", DepthTable((Fraction(1),), (1,), 1, (1,)))
+
+    def depth_table(self, n: int) -> DepthTable:
+        """The sequence's depth table, reaching at least depth n. A deeper table
+        replaces the cached one whole, so no reader sees one half extended."""
+        if n < 0:
+            raise ValueError("depth must be >= 0")
+        table = self._depths
+        if n >= len(table.lengths):
+            lengths, denoms = list(table.lengths), list(table.denoms)
+            for r in range(len(lengths), n + 1):
+                lengths.append(lengths[-1] * self.ratio_at(r))
+                denoms.append(lcm(denoms[-1], lengths[-1].denominator))
+            denom = denoms[-1]
+            ints = tuple(d.numerator * (denom // d.denominator) for d in lengths)
+            table = DepthTable(tuple(lengths), ints, denom, tuple(denoms))
+            object.__setattr__(self, "_depths", table)
+        return table
 
     @classmethod
     def constant(cls, value) -> "RatioSequence":
@@ -92,12 +128,7 @@ class RatioSequence:
 
 def depth_length(seq: RatioSequence, n: int) -> Fraction:
     """Common length of the 2^n depth-n intervals (1 at depth 0)."""
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    out = Fraction(1)
-    for r in range(1, n + 1):
-        out *= seq.ratio_at(r)
-    return out
+    return seq.depth_table(n).lengths[n]
 
 
 def length_drop(seq: RatioSequence, r: int) -> Fraction:
@@ -106,24 +137,18 @@ def length_drop(seq: RatioSequence, r: int) -> Fraction:
 
 
 def scaled_lengths(seq: RatioSequence, n: int) -> tuple[list[int], int]:
-    """Depth lengths 0..n as exact integers over one common denominator."""
-    lengths = [Fraction(1)]
-    for r in range(1, n + 1):
-        lengths.append(lengths[-1] * seq.ratio_at(r))
-    denom = lcm(*(d.denominator for d in lengths))
-    return [d.numerator * (denom // d.denominator) for d in lengths], denom
-
-
-def validate_bits(bits: Sequence[int]) -> tuple[int, ...]:
-    code = tuple(bits)
-    if any(b not in (0, 1) for b in code):
-        raise ValueError(f"binary code digits must be 0 or 1: {code}")
-    return code
+    """Depth lengths 0..n as exact integers over their least common denominator."""
+    table = seq.depth_table(n)
+    denom = table.denoms[n]
+    factor = table.denom // denom
+    return [x // factor for x in table.ints[: n + 1]], denom
 
 
 def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> ClosedInterval:
     """The depth-n interval selected by a binary code of left/right choices."""
-    code = validate_bits(bits)
+    code = tuple(bits)
+    if any(b not in (0, 1) for b in code):
+        raise ValueError(f"binary code digits must be 0 or 1: {code}")
     lo = Fraction(0)
     for r, bit in enumerate(code, 1):
         if bit:

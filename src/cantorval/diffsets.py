@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .budget import charge
-from .construction import THIRD, RatioSequence, depth_length, length_drop, scaled_lengths
+from .construction import THIRD, RatioSequence, scaled_lengths
 from .errors import AssumptionError
 from .intervals import ClosedInterval, IntervalUnion, OpenInterval
 
@@ -61,15 +61,23 @@ class GapRef:
             raise ValueError(f"gap side must be 0 or 1, got {self.side}")
 
 
+def _scaled_left(seq: RatioSequence, digits: Code, depth: int) -> tuple[int, tuple[int, ...], int]:
+    """Left end of the coded interval and the depth lengths d(0..depth), as
+    integers over the depth table's denominator, which comes last."""
+    table = seq.depth_table(depth)
+    ints = table.ints
+    lo = -table.denom
+    for r, d in enumerate(digits, 1):
+        if d:
+            lo += d * (ints[r - 1] - ints[r])
+    return lo, ints, table.denom
+
+
 def diff_interval(seq: RatioSequence, code: Sequence[int]) -> ClosedInterval:
     """The coded interval: left endpoint -1 + sum of digit-weighted length drops."""
     digits = validate_code(code)
-    n = len(digits)
-    lo = Fraction(-1)
-    for r, d in enumerate(digits, 1):
-        if d:
-            lo += d * length_drop(seq, r)
-    return ClosedInterval(lo, lo + 2 * depth_length(seq, n))
+    lo, ints, denom = _scaled_left(seq, digits, len(digits))
+    return ClosedInterval(Fraction(lo, denom), Fraction(lo + 2 * ints[len(digits)], denom))
 
 
 def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> IntervalUnion:
@@ -127,23 +135,32 @@ def _union_of_copies(los: list[int], his: list[int], w: int) -> tuple[list[int],
     return out_lo, out_hi
 
 
-def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> OpenInterval:
-    """Open gap left between consecutive children; needs the next ratio below 1/3."""
+def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:
+    """Scaled left end, d_n and d_{n+1} below a code, and their common denominator;
+    a gap opens there only at a next ratio below 1/3, an overlap only otherwise."""
     digits = validate_code(code)
     if side not in (0, 1):
-        raise ValueError(f"gap side must be 0 or 1, got {side}")
+        raise ValueError(f"{kind} side must be 0 or 1, got {side}")
     n = len(digits)
     ratio = seq.ratio_at(n + 1)
-    if ratio >= THIRD:
+    if (ratio < THIRD) != (kind == "gap"):
+        relation = "is not below" if kind == "gap" else "is below"
         raise AssumptionError(
-            f"no gap below code {code_str(digits) or '(empty)'}: "
-            f"ratio {ratio} at depth {n + 1} is not below 1/3"
+            f"no {kind} below code {code_str(digits) or '(empty)'}: "
+            f"ratio {ratio} at depth {n + 1} {relation} 1/3"
         )
-    parent = diff_interval(seq, digits)
-    d_next = depth_length(seq, n + 1)
+    lo, ints, denom = _scaled_left(seq, digits, n + 1)
+    return lo, ints[n], ints[n + 1], denom
+
+
+def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> OpenInterval:
+    """Open gap left between consecutive children; needs the next ratio below 1/3."""
+    lo, d, d_next, denom = _children(seq, code, side, "gap")
     if side == 0:
-        return OpenInterval(parent.lo + 2 * d_next, parent.center - d_next)
-    return OpenInterval(parent.center + d_next, parent.hi - 2 * d_next)
+        lo, hi = lo + 2 * d_next, lo + d - d_next
+    else:
+        lo, hi = lo + d + d_next, lo + 2 * d - 2 * d_next
+    return OpenInterval(Fraction(lo, denom), Fraction(hi, denom))
 
 
 def gap_bounds(seq: RatioSequence, ref: GapRef) -> OpenInterval:
@@ -152,18 +169,9 @@ def gap_bounds(seq: RatioSequence, ref: GapRef) -> OpenInterval:
 
 def overlap_at(seq: RatioSequence, code: Sequence[int], side: int) -> ClosedInterval:
     """Closed overlap of consecutive children; needs the next ratio at least 1/3."""
-    digits = validate_code(code)
-    if side not in (0, 1):
-        raise ValueError(f"overlap side must be 0 or 1, got {side}")
-    n = len(digits)
-    ratio = seq.ratio_at(n + 1)
-    if ratio < THIRD:
-        raise AssumptionError(
-            f"no overlap below code {code_str(digits) or '(empty)'}: "
-            f"ratio {ratio} at depth {n + 1} is below 1/3"
-        )
-    parent = diff_interval(seq, digits)
-    d_next = depth_length(seq, n + 1)
+    lo, d, d_next, denom = _children(seq, code, side, "overlap")
     if side == 0:
-        return ClosedInterval(parent.center - d_next, parent.lo + 2 * d_next)
-    return ClosedInterval(parent.hi - 2 * d_next, parent.center + d_next)
+        lo, hi = lo + d - d_next, lo + 2 * d_next
+    else:
+        lo, hi = lo + 2 * d - 2 * d_next, lo + d + d_next
+    return ClosedInterval(Fraction(lo, denom), Fraction(hi, denom))

@@ -14,8 +14,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from .budget import charge
 from .construction import THIRD, RatioSequence, depth_length
 from .diffsets import Code, GapRef, code_str, diff_interval, gap_bounds, validate_code
 from .errors import AssumptionError
@@ -70,41 +71,14 @@ def small_ratio_indices(seq: RatioSequence, base: int, count: int) -> list[int]:
     return out
 
 
-def iter_small_ratio_indices(seq: RatioSequence, base: int) -> Iterator[int]:
-    _require_mixed(seq)
-    require_base(seq, base)
-    j = base + 1
-    while True:
-        if seq.ratio_at(j) < THIRD:
-            yield j
-        j += 1
-
-
-@dataclass(frozen=True)
-class SmallIndexView:
-    """A validated base together with the small-ratio depths beyond it."""
-
-    sequence: RatioSequence
-    base: int
-
-    def __post_init__(self):
-        _require_mixed(self.sequence)
-        require_base(self.sequence, self.base)
-
-    def indices(self, count: int) -> list[int]:
-        return small_ratio_indices(self.sequence, self.base, count)
-
-
 def first_level(seq: RatioSequence, root: Sequence[int], base: int = 0) -> int:
     """Level m of the first family generation under the root code."""
     digits = validate_code(root)
     k = len(digits)
     if k < base:
         raise AssumptionError(f"root code length {k} must be at least the base {base}")
-    ks = small_ratio_indices(seq, base, 1)
-    # extend until we can place k strictly below some small-ratio depth
-    while ks[-1] <= k:
-        ks = small_ratio_indices(seq, base, len(ks) + 1)
+    # at most k - base small-ratio depths lie in (base, k], so the last one is past k
+    ks = small_ratio_indices(seq, base, k - base + 1)
     return bisect_right(ks, k) + 1
 
 
@@ -145,9 +119,6 @@ class GapFamily:
                 return gaps
         raise KeyError(n)
 
-    def all_gaps(self) -> list[tuple[int, GapRef]]:
-        return [(lvl, g) for lvl, gaps in self.levels for g in sorted(gaps)]
-
     def to_json(self, seq: RatioSequence) -> dict:
         levels = {}
         for lvl, gaps in self.levels:
@@ -167,19 +138,21 @@ class GapFamily:
 
 
 def gap_family(
-    seq: RatioSequence, root: Sequence[int], upto: int, base: int = 0
+    seq: RatioSequence, root: Sequence[int], upto: int, base: int = 0, budget: int | None = None
 ) -> GapFamily:
     """Build family levels m..upto below the root code.
 
     Each level starts from the two extreme gaps of its small-ratio depth and
     adds, for every gap of every earlier level, the two gaps that flank the
-    child interval sitting directly over it.
+    child interval sitting directly over it. Level m + i holds 2*3^i gaps,
+    so the budget is charged for all 3^(upto-m+1) - 1 of them up front.
     """
     digits = validate_code(root)
     k = len(digits)
     m = first_level(seq, digits, base)
     if upto < m:
         raise ValueError(f"upto {upto} is below the first family level {m}")
+    charge(3 ** (upto - m + 1) - 1, budget)
     ks = small_ratio_indices(seq, base, upto)
     levels: dict[int, frozenset[GapRef]] = {}
     for n in range(m, upto + 1):
@@ -263,20 +236,13 @@ def gap_union_partial(seq: RatioSequence, terms: int) -> tuple[Fraction, Fractio
     if terms < 0:
         raise ValueError("terms must be >= 0")
     total = gap_union_measure(seq)
-    partial = Fraction(0)
-    gpow = Fraction(2)
-    d_prev = Fraction(1)
-    n = 0
-    j = 0
-    while n < terms:
-        j += 1
-        r = seq.ratio_at(j)
-        d_here = d_prev * r
-        if r < THIRD:
-            n += 1
-            partial += gpow * (d_prev - 3 * d_here)
-            gpow *= 3
-        d_prev = d_here
+    partial = sum(
+        (
+            2 * 3 ** (n - 1) * (depth_length(seq, k - 1) - 3 * depth_length(seq, k))
+            for n, k in enumerate(small_ratio_indices(seq, 0, terms), 1)
+        ),
+        Fraction(0),
+    )
     return partial, total - partial
 
 

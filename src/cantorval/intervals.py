@@ -36,10 +36,6 @@ class ClosedInterval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def center(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
@@ -136,10 +132,6 @@ def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
         else:
             merged.append(iv)
     return IntervalUnion(tuple(merged))
-
-
-def measure(union: IntervalUnion) -> Fraction:
-    return union.measure
 
 
 def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInterval]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .construction import RatioSequence
 from .diffsets import diff_approximation, gap_bounds
 from .errors import AssumptionError
-from .gapforest import gap_family, iter_small_ratio_indices, smallest_valid_base
+from .gapforest import gap_family, small_ratio_indices, smallest_valid_base
 from .intervals import ClosedInterval, IntervalUnion, OpenInterval
 
 
@@ -47,24 +47,23 @@ class DepthStack:
         }
 
 
-def _family_gaps_by_level(seq: RatioSequence, depth: int) -> dict[int, list[OpenInterval]]:
+def _family_gaps_by_level(
+    seq: RatioSequence, depth: int, budget: int | None
+) -> dict[int, list[OpenInterval]]:
     """Persistent gaps keyed by the depth at which they first open.
 
-    Empty when the sequence has no valid base split, hence no persistent
-    family to speak of.
+    Empty when the sequence has no valid base split or does not mix both
+    kinds of ratio forever, hence has no persistent family to speak of.
     """
     try:
         base = smallest_valid_base(seq)
+        # at most depth - base small-ratio depths lie in (base, depth]
+        ks = [k for k in small_ratio_indices(seq, base, max(depth - base, 0)) if k <= depth]
     except AssumptionError:
         return {}
-    ks = []
-    for k in iter_small_ratio_indices(seq, base):
-        if k > depth:
-            break
-        ks.append(k)
     if not ks:
         return {}
-    family = gap_family(seq, root=(), upto=len(ks), base=base)
+    family = gap_family(seq, root=(), upto=len(ks), base=base, budget=budget)
     out: dict[int, list[OpenInterval]] = {}
     for n, k in enumerate(ks, 1):
         out[k] = sorted(
@@ -79,7 +78,7 @@ def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> De
     carrying every persistent gap already open at that depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    by_level = _family_gaps_by_level(seq, depth)
+    by_level = _family_gaps_by_level(seq, depth, budget)
     rows = []
     opened: list[OpenInterval] = []
     for n in range(depth + 1):

@@ -264,7 +264,8 @@ def series_from_pattern(
 
     Doubling closes the gap a plain term would leave, so the induced ratio
     sequence always lands in the Cantorval regime with vanishing cover
-    residuals; this is verified, not assumed.
+    residuals, and series total times measure is 3; both are verified, not
+    assumed.
     """
     span = len(pattern.prefix_bits) + len(pattern.period_bits)
 
@@ -282,6 +283,11 @@ def series_from_pattern(
         raise VerificationError(
             "internal error: a doubling pattern must induce a Cantorval with "
             f"vanishing cover residuals, got {cert.verdict}"
+        )
+    if series.total * cert.measure != 3:
+        raise VerificationError(
+            "difference-set measure of a doubling pattern must be 3, "
+            f"got {series.total * cert.measure}"
         )
     return series, seq, cert
 
@@ -316,9 +322,4 @@ def multigeometric_form(pattern: DoublingPattern) -> MultigeometricForm:
 def difference_measure(pattern: DoublingPattern) -> Fraction:
     """Measure of the difference set of the pattern's subsum set: always 3."""
     series, _, cert = series_from_pattern(pattern)
-    value = series.total * cert.measure
-    if value != 3:
-        raise VerificationError(
-            f"difference-set measure of a doubling pattern must be 3, got {value}"
-        )
-    return value
+    return series.total * cert.measure

@@ -1,6 +1,7 @@
 """Trichotomy decisions, cover equations, witnesses, and certificates."""
 
 import dataclasses
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -219,6 +220,17 @@ class TestVerify:
         cert = classify(seq)
         checks = verify_certificate(cert, depth=6)
         assert verification_passed(checks), [c for c in checks if not c.passed]
+
+    def test_cantor_certificate_needs_depth_one(self, monkeypatch):
+        cert = classify(CANTOR_SMALL)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("verification started before the depth was checked")
+
+        # the package re-exports classify(), which shadows the submodule's name
+        monkeypatch.setattr(sys.modules["cantorval.classify"], "classify", no_work)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            verify_certificate(cert, depth=0)
 
     def test_tampered_measure_fails(self):
         cert = classify(EX1)

@@ -8,6 +8,7 @@ from cantorval.cli import main
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
 SMALL_SPEC = '{"lambda": {"prefix": [], "period": ["1/4"]}}'
+FULL_SPEC = '{"lambda": {"prefix": [], "period": ["2/5"]}}'
 
 
 def run(capsys, *argv, expect=0):
@@ -132,6 +133,11 @@ class TestRender:
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith("<svg ")
 
+    def test_sequence_without_persistent_family_renders(self, capsys):
+        # every ratio at least 1/3: no family gaps, the hull fills every row
+        out, _ = run(capsys, "render", "--spec", FULL_SPEC, "--depth", "3", "--format", "text")
+        assert out.splitlines()[1:] == [f"{n:>3} |{'#' * 64}|" for n in range(4)]
+
     def test_json_rows_match_depth(self, capsys):
         out, _ = run(capsys, "render", "--spec", EX1_SPEC, "--depth", "2", "--format", "json")
         data = json.loads(out)
@@ -170,6 +176,32 @@ class TestExitCodes:
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "12", expect=4)
         monkeypatch.setenv("CANTORVAL_BUDGET", "not-a-number")
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "2", expect=2)
+
+    def test_gap_family_over_budget(self, capsys):
+        _, err = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "14", "--budget", "1000", expect=4)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def verify_tampered(self, capsys, tmp_path, tamper):
+        cert_out, _ = run(capsys, "classify", "--spec", EX1_SPEC)
+        data = json.loads(cert_out)
+        tamper(data)
+        cert_file = tmp_path / "tampered.json"
+        cert_file.write_text(json.dumps(data), encoding="utf-8")
+        _, err = run(capsys, "verify", "--spec", str(cert_file), expect=2)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_certificate_base_must_be_an_integer(self, capsys, tmp_path):
+        err = self.verify_tampered(capsys, tmp_path, lambda d: d.update(k0="zero"))
+        assert "k0 must be of type int" in err
+
+    def test_certificate_residual_needs_index(self, capsys, tmp_path):
+        err = self.verify_tampered(capsys, tmp_path, lambda d: d["residuals"][0].pop("index"))
+        assert "'index'" in err
+
+    def test_certificate_stable_depth_must_be_an_integer(self, capsys, tmp_path):
+        err = self.verify_tampered(capsys, tmp_path, lambda d: d.update(stable_depth=2.5))
+        assert "stable_depth must be of type int" in err
 
     def test_depth_below_minimum(self, capsys, tmp_path):
         _, err = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "0", expect=2)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,12 @@ from cantorval import (
     SpecValidationError,
     cantor_approximation,
     depth_length,
+    gap_at,
     kept_interval,
     length_drop,
     normalize,
 )
+from cantorval.construction import scaled_lengths
 from specimens import EX1, EX1_LENGTHS
 from strategies import ratio_sequences
 
@@ -73,6 +76,29 @@ class TestLengths:
         iv = kept_interval(EX1, (1, 0, 1))
         assert iv.lo == length_drop(EX1, 1) + length_drop(EX1, 3)
         assert iv.length == depth_length(EX1, 3)
+
+
+class TestDepthTable:
+    def test_warmed_table_keeps_identity(self):
+        warm = RatioSequence(prefix=(F(1, 4),), period=EX1.period)
+        fresh = RatioSequence(prefix=(F(1, 4),), period=EX1.period)
+        before = (repr(warm), warm.to_json())
+        depth_length(warm, 30)
+        gap_at(warm, (0, 1), 0)
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert {warm: "found"}[fresh] == "found"
+        assert (repr(warm), warm.to_json()) == before == (repr(fresh), fresh.to_json())
+
+    @settings(max_examples=40)
+    @given(ratio_sequences(), st.integers(0, 8), st.integers(0, 6))
+    def test_scaled_lengths_use_least_denominator_after_extension(self, seq, n, extra):
+        lengths = [F(1)]
+        for r in range(1, n + 1):
+            lengths.append(lengths[-1] * seq.ratio_at(r))
+        depth_length(seq, n + extra)
+        ints, denom = scaled_lengths(seq, n)
+        assert [F(x, denom) for x in ints] == lengths
+        assert denom == lcm(*(d.denominator for d in lengths))
 
 
 class TestApproximation:

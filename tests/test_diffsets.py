@@ -32,6 +32,16 @@ from specimens import EX1, EX1_LEVEL1_GAP0
 from strategies import ratio_sequences
 
 
+def defined_interval(seq, code):
+    """The coded interval straight from its definition, in plain Fractions:
+    left end -1 + sum of digit * (d_{r-1} - d_r), length 2 d_n."""
+    lengths = [F(1)]
+    for r in range(1, len(code) + 1):
+        lengths.append(lengths[-1] * seq.ratio_at(r))
+    lo = -1 + sum((d * (lengths[r - 1] - lengths[r]) for r, d in enumerate(code, 1)), F(0))
+    return lo, lo + 2 * lengths[-1]
+
+
 class TestCodes:
     def test_validate_rejects_bad_digits(self):
         with pytest.raises(ValueError):
@@ -108,6 +118,32 @@ class TestDiffApproximation:
 
 
 class TestGapsAndOverlaps:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ratio_sequences(),
+        st.lists(st.lists(st.integers(0, 2), max_size=8), min_size=1, max_size=6),
+    )
+    def test_endpoints_match_definition_deep_codes_first(self, drawn, codes):
+        # a fresh sequence, queried deepest code first, so that shallower
+        # queries read a table that was extended past them
+        seq = RatioSequence(prefix=drawn.prefix, period=drawn.period)
+        for code in sorted(map(tuple, codes), key=len, reverse=True):
+            assert diff_interval(seq, code) == ClosedInterval(*defined_interval(seq, code))
+            # children of the code, and the holes or overlaps between neighbours
+            kids = [defined_interval(seq, code + (t,)) for t in (0, 1, 2)]
+            if seq.ratio_at(len(code) + 1) < THIRD:
+                for side in (0, 1):
+                    g = gap_at(seq, code, side)
+                    assert (g.lo, g.hi) == (kids[side][1], kids[side + 1][0])
+                with pytest.raises(AssumptionError):
+                    overlap_at(seq, code, 0)
+            else:
+                for side in (0, 1):
+                    z = overlap_at(seq, code, side)
+                    assert (z.lo, z.hi) == (kids[side + 1][0], kids[side][1])
+                with pytest.raises(AssumptionError):
+                    gap_at(seq, code, 1)
+
     def test_level_one_gap_matches_frozen_endpoints(self):
         g = gap_at(EX1, (0,), side=0)
         assert (g.lo, g.hi) == EX1_LEVEL1_GAP0

@@ -7,6 +7,7 @@ import pytest
 from cantorval import (
     AssumptionError,
     ClosedInterval,
+    DepthBudgetError,
     GapRef,
     RatioSequence,
     complement_gaps,
@@ -70,6 +71,14 @@ class TestFamily:
         family = gap_family(EX1, (), 4)
         for n, size in EX1_LEVEL_SIZES.items():
             assert len(family.level(n)) == size
+
+    def test_budget_counts_every_gap_before_building(self):
+        # levels 1..7 hold 2 + 6 + ... + 2*3^6 = 3^7 - 1 gaps
+        family = gap_family(EX1, (), 7, budget=3**7 - 1)
+        assert sum(len(gaps) for _, gaps in family.levels) == 3**7 - 1
+        with pytest.raises(DepthBudgetError) as exc:
+            gap_family(EX1, (), 7, budget=3**7 - 2)
+        assert exc.value.needed == 3**7 - 1
 
     def test_codes_have_level_length_and_small_tail(self):
         family = gap_family(EX1, (), 3)
