@@ -162,14 +162,15 @@ def _cmd_measure(args, budget):
 
 def _cmd_approx(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
-    union = diff_approximation(seq, _depth(args, 4), budget)
+    depth = _depth(args, 4)
+    union = diff_approximation(seq, depth, budget)
     payload = {
-        "depth": _depth(args, 4),
-        "count": len(union.parts),
+        "depth": depth,
+        "count": len(union.los),
         "measure": format_rational(union.measure),
         "parts": union.to_json(),
     }
-    text = "".join(f"[{lo}, {hi}]\n" for lo, hi in union.to_json())
+    text = "".join(f"[{lo}, {hi}]\n" for lo, hi in payload["parts"])
     return payload, text, None, 0
 
 

@@ -168,6 +168,4 @@ def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = No
         # digit r varies fastest: lex order, which is sorted because ratios < 1/2
         lefts = [x + t for x in lefts for t in (0, w)]
     size = dints[depth]
-    return IntervalUnion(
-        tuple(ClosedInterval(Fraction(x, denom), Fraction(x + size, denom)) for x in lefts)
-    )
+    return IntervalUnion.from_lattice(lefts, [x + size for x in lefts], denom)

@@ -86,8 +86,8 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
         raise ValueError("depth must be >= 0")
     charge(3**depth, budget)
     dints, denom = scaled_lengths(seq, depth)
-    # parts of S_{r+1}, sorted and disjoint, as integers over denom; the answer is S_1 - 1
-    los, his = [0], [2 * dints[depth]]
+    # parts of S_{r+1} - 1, sorted and disjoint, as integers over denom; the answer is S_1 - 1
+    los, his = [-denom], [2 * dints[depth] - denom]
     for r in range(depth, 0, -1):
         w = dints[r - 1] - dints[r]
         if 3 * dints[r] < dints[r - 1]:
@@ -96,12 +96,7 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
             his = his + [x + w for x in his] + [x + 2 * w for x in his]
         else:
             los, his = _union_of_copies(los, his, w)
-    return IntervalUnion(
-        tuple(
-            ClosedInterval(Fraction(lo - denom, denom), Fraction(hi - denom, denom))
-            for lo, hi in zip(los, his)
-        )
-    )
+    return IntervalUnion.from_lattice(los, his, denom)
 
 
 def _union_of_copies(los: list[int], his: list[int], w: int) -> tuple[list[int], list[int]]:

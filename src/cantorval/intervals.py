@@ -1,13 +1,16 @@
 """Exact set algebra over finite unions of closed rational intervals.
 
-Endpoints are Fractions and every operation is exact. Unions are kept
-normalized: parts sorted, and parts that touch or overlap are merged, so a
-normalized union with more than one part has strictly separated parts.
+Every operation is exact. Unions are kept normalized: parts sorted, and
+parts that touch or overlap are merged, so a normalized union with more than
+one part has strictly separated parts.
 
-Minkowski products are computed pairwise over parts and then merged. To keep
-large enumerations fast without losing exactness, the pairwise stage scales
-all endpoints to a common integer denominator and works on plain ints; the
-merged result is rebuilt as Fractions.
+An IntervalUnion stores its endpoints on the integer lattice: two int tuples
+over one denominator, reduced so that the form is canonical. Building,
+measuring, comparing, hashing and printing a union therefore costs integer
+work only; the Fraction parts are built once, on first use. The producers
+(the difference-set fold, Cantor approximations, subsum covers, normalize
+and the Minkowski products) hand over their integers directly, and the last
+three share one integer sort-merge.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import le, lt
 from typing import Iterable, Sequence
 
-from .rationals import format_rational, parse_rational
-
-_ZERO = Fraction(0)
+from .errors import SpecValidationError
+from .rationals import format_scaled, parse_rational
 
 
 @dataclass(frozen=True, order=True)
@@ -65,21 +68,67 @@ class OpenInterval:
         return self.lo < x < self.hi
 
 
-@dataclass(frozen=True)
 class IntervalUnion:
-    """A normalized finite union of closed intervals; may be empty."""
+    """A normalized finite union of closed intervals; may be empty.
 
-    parts: tuple[ClosedInterval, ...]
+    Part i is [los[i] / denom, his[i] / denom]. The integers share no common
+    factor with denom, so equal sets have equal fields and compare and hash
+    as plain tuples. The Fraction parts are built on first use of `parts`.
+    """
 
-    def __post_init__(self):
-        for a, b in zip(self.parts, self.parts[1:]):
-            # strict separation: touching parts must already be merged
-            if b.lo <= a.hi:
-                raise ValueError(f"parts not normalized near [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}]")
+    __slots__ = ("los", "his", "denom", "_parts")
+
+    def __init__(self, parts: Iterable[ClosedInterval]):
+        parts = tuple(parts)
+        self._set(*_on_lattice(parts))
+        self._parts = parts
+
+    @classmethod
+    def from_lattice(cls, los: Sequence[int], his: Sequence[int], denom: int) -> "IntervalUnion":
+        """The union of [los[i] / denom, his[i] / denom]: sorted, strictly separated parts."""
+        return cls.__new__(cls)._set(los, his, denom)
+
+    def _set(self, los: Sequence[int], his: Sequence[int], denom: int) -> "IntervalUnion":
+        g = gcd(denom, *los, *his)
+        los, his = (tuple(xs) if g == 1 else tuple([x // g for x in xs]) for xs in (los, his))
+        denom //= g
+
+        def show(j: int) -> str:
+            return f"[{Fraction(los[j], denom)}, {Fraction(his[j], denom)}]"
+
+        if not all(map(le, los, his)):
+            j = next(j for j in range(len(los)) if los[j] > his[j])
+            raise ValueError(f"closed interval needs lo <= hi, got {show(j)}")
+        # strict separation: touching parts must already be merged
+        if not all(map(lt, his, los[1:])):
+            j = next(j for j in range(1, len(los)) if los[j] <= his[j - 1])
+            raise ValueError(f"parts not normalized near {show(j - 1)} and {show(j)}")
+        self.los, self.his, self.denom, self._parts = los, his, denom, None
+        return self
+
+    @property
+    def parts(self) -> tuple[ClosedInterval, ...]:
+        if self._parts is None:
+            d = self.denom
+            self._parts = tuple(
+                ClosedInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(self.los, self.his)
+            )
+        return self._parts
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalUnion):
+            return NotImplemented
+        return self.denom == other.denom and self.los == other.los and self.his == other.his
+
+    def __hash__(self) -> int:
+        return hash((self.denom, self.los, self.his))
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion(parts={self.parts!r})"
 
     @property
     def measure(self) -> Fraction:
-        return sum((p.length for p in self.parts), _ZERO)
+        return Fraction(sum(self.his) - sum(self.los), self.denom)
 
     @property
     def hull(self) -> ClosedInterval:
@@ -109,29 +158,38 @@ class IntervalUnion:
         return IntervalUnion(tuple(ClosedInterval(-p.hi, -p.lo) for p in reversed(self.parts)))
 
     def to_json(self) -> list[list[str]]:
-        return [[format_rational(p.lo), format_rational(p.hi)] for p in self.parts]
+        d = self.denom
+        return [[format_scaled(lo, d), format_scaled(hi, d)] for lo, hi in zip(self.los, self.his)]
 
     @classmethod
-    def from_json(cls, data: Iterable[Sequence[str]]) -> "IntervalUnion":
-        return normalize(
-            ClosedInterval(parse_rational(pair[0]), parse_rational(pair[1])) for pair in data
-        )
+    def from_json(cls, data) -> "IntervalUnion":
+        """Parse a list of [lo, hi] rational-string pairs, in any order, and normalize it."""
+        if not isinstance(data, list):
+            raise SpecValidationError(f"union must be a list of [lo, hi] pairs, got {data!r}")
+        parts = []
+        for i, pair in enumerate(data, 1):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SpecValidationError(f"union part {i} must be a [lo, hi] pair, got {pair!r}")
+            lo, hi = map(parse_rational, pair)
+            if lo > hi:
+                raise SpecValidationError(f"union part {i} needs lo <= hi, got [{lo}, {hi}]")
+            parts.append(ClosedInterval(lo, hi))
+        return normalize(parts)
+
+
+def _on_lattice(parts: Sequence[ClosedInterval]) -> tuple[list[int], list[int], int]:
+    """Endpoints as integers over their least common denominator."""
+    # math.lcm() of no arguments is 1, the right identity here
+    denom = lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
+    los = [p.lo.numerator * (denom // p.lo.denominator) for p in parts]
+    his = [p.hi.numerator * (denom // p.hi.denominator) for p in parts]
+    return los, his, denom
 
 
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
     """Sort arbitrary closed intervals and merge overlapping or touching ones."""
-    items = sorted(intervals)
-    if not items:
-        return IntervalUnion(())
-    merged = [items[0]]
-    for iv in items[1:]:
-        last = merged[-1]
-        if iv.lo <= last.hi:
-            if iv.hi > last.hi:
-                merged[-1] = ClosedInterval(last.lo, iv.hi)
-        else:
-            merged.append(iv)
-    return IntervalUnion(tuple(merged))
+    los, his, denom = _on_lattice(tuple(intervals))
+    return union_from_scaled(merge_scaled(list(zip(los, his))), denom)
 
 
 def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInterval]:
@@ -150,22 +208,6 @@ def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInte
     return gaps
 
 
-def common_denominator(fracs: Iterable[Fraction]) -> int:
-    # math.lcm() of no arguments is 1, the right identity here
-    return lcm(*(f.denominator for f in fracs))
-
-
-def scaled_endpoints(union: IntervalUnion, denom: int) -> list[tuple[int, int]]:
-    """Endpoints as exact integers over the given common denominator."""
-    return [
-        (
-            p.lo.numerator * (denom // p.lo.denominator),
-            p.hi.numerator * (denom // p.hi.denominator),
-        )
-        for p in union.parts
-    ]
-
-
 def merge_scaled(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Sort-merge over integer endpoint pairs; touching pairs merge."""
     pairs.sort()
@@ -180,20 +222,16 @@ def merge_scaled(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def union_from_scaled(pairs: list[tuple[int, int]], denom: int) -> IntervalUnion:
-    return IntervalUnion(
-        tuple(ClosedInterval(Fraction(lo, denom), Fraction(hi, denom)) for lo, hi in pairs)
-    )
+    return IntervalUnion.from_lattice([lo for lo, _ in pairs], [hi for _, hi in pairs], denom)
 
 
 def _pairwise(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalUnion:
-    if not a.parts or not b.parts:
+    if not a.los or not b.los:
         raise ValueError("Minkowski product of an empty union is undefined")
-    denom = lcm(
-        common_denominator(p for iv in a.parts for p in (iv.lo, iv.hi)),
-        common_denominator(p for iv in b.parts for p in (iv.lo, iv.hi)),
-    )
-    xs = scaled_endpoints(a, denom)
-    ys = scaled_endpoints(b, denom)
+    denom = lcm(a.denom, b.denom)
+    fa, fb = denom // a.denom, denom // b.denom
+    xs = [(lo * fa, hi * fa) for lo, hi in zip(a.los, a.his)]
+    ys = [(lo * fb, hi * fb) for lo, hi in zip(b.los, b.his)]
     if diff:
         pairs = [(alo - bhi, ahi - blo) for alo, ahi in xs for blo, bhi in ys]
     else:

@@ -6,6 +6,7 @@ rejected so that no inexact value can enter through a spec file.
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import SpecValidationError
 
@@ -28,3 +29,9 @@ def parse_rational_list(label: str, values) -> list[Fraction]:
 
 def format_rational(value: Fraction) -> str:
     return str(value)
+
+
+def format_scaled(numerator: int, denom: int) -> str:
+    """format_rational(Fraction(numerator, denom)) without building the Fraction."""
+    g = gcd(numerator, denom)
+    return str(numerator // g) if g == denom else f"{numerator // g}/{denom // g}"

@@ -1,14 +1,18 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cantorval import Certificate, RatioSequence, classify
 from cantorval.cli import main
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
 SMALL_SPEC = '{"lambda": {"prefix": [], "period": ["1/4"]}}'
 FULL_SPEC = '{"lambda": {"prefix": [], "period": ["2/5"]}}'
+FINITE_SPEC = '{"lambda": {"prefix": ["1/5"], "period": ["2/5"]}}'
 
 
 def run(capsys, *argv, expect=0):
@@ -181,8 +185,8 @@ class TestExitCodes:
         _, err = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "14", "--budget", "1000", expect=4)
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def verify_tampered(self, capsys, tmp_path, tamper):
-        cert_out, _ = run(capsys, "classify", "--spec", EX1_SPEC)
+    def verify_tampered(self, capsys, tmp_path, tamper, spec=EX1_SPEC):
+        cert_out, _ = run(capsys, "classify", "--spec", spec)
         data = json.loads(cert_out)
         tamper(data)
         cert_file = tmp_path / "tampered.json"
@@ -202,6 +206,22 @@ class TestExitCodes:
     def test_certificate_stable_depth_must_be_an_integer(self, capsys, tmp_path):
         err = self.verify_tampered(capsys, tmp_path, lambda d: d.update(stable_depth=2.5))
         assert "stable_depth must be of type int" in err
+
+    @pytest.mark.parametrize(
+        "union, words",
+        [
+            ([["1"]], "union part 1 must be a [lo, hi] pair"),
+            ([["1", "0"]], "union part 1 needs lo <= hi"),
+            ("x", "union must be a list"),
+        ],
+    )
+    def test_certificate_union_must_be_rational_pairs(self, capsys, tmp_path, union, words):
+        def tamper(data):
+            assert data["verdict"] == "FiniteIntervalUnion"
+            data["union"] = union
+
+        err = self.verify_tampered(capsys, tmp_path, tamper, spec=FINITE_SPEC)
+        assert words in err
 
     def test_depth_below_minimum(self, capsys, tmp_path):
         _, err = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "0", expect=2)
@@ -235,3 +255,78 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def _json_paths(doc, prefix=()):
+    """Every key or index path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_CONTRACT_SPECS = [
+    json.loads(spec)
+    for spec in (EX1_SPEC, SMALL_SPEC, FULL_SPEC, FINITE_SPEC, '{"lambda": {"period": ["7/15", "2/7"]}}')
+]
+# (command, document, extra arguments): every verdict's certificate, drawn as often
+# as all the spec-reading commands together
+_CONTRACT_CERTIFICATES = [
+    ("verify", classify(RatioSequence.from_json(spec["lambda"])).to_json(), ("--depth", "4"))
+    for spec in _CONTRACT_SPECS
+]
+_CONTRACT_REQUESTS = [
+    *((command, spec, ("--depth", "3")) for spec in _CONTRACT_SPECS for command in ("approx", "gaps")),
+    *((command, spec, ()) for spec in _CONTRACT_SPECS for command in ("classify", "measure")),
+]
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=8),
+    st.sampled_from(["", "x", "zero", "1/0", "-1", "2/5", "0.5", "1/4"]),
+    st.lists(st.sampled_from(["1", "1/3", "2/5", "x"]), max_size=3),
+    st.just({}),
+)
+
+
+@st.composite
+def mutated_requests(draw):
+    """A valid spec or certificate after one or two edits: a key dropped, a
+    value replaced by a wrong-typed one, or a list shortened or reversed."""
+    command, base, extra = draw(
+        st.one_of(st.sampled_from(_CONTRACT_CERTIFICATES), st.sampled_from(_CONTRACT_REQUESTS))
+    )
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        action = draw(st.sampled_from(("drop", "replace", "shorten", "reverse")))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace" or not isinstance(value, list):
+            parent[key] = draw(_JUNK)
+        else:
+            parent[key] = value[:-1] if action == "shorten" else value[::-1]
+    return command, doc, extra
+
+
+class TestContract:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_requests())
+    def test_malformed_input_never_escapes_the_exit_codes(self, capsys, request_):
+        command, doc, extra = request_
+        code = main([command, "--spec", json.dumps(doc), *extra])
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4) and "Traceback" not in err
+        if code == 1:
+            # only a refuted certificate, and a refuted certificate is well formed
+            assert command == "verify" and err == ""
+            Certificate.from_json(doc)
+        elif code:
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,11 @@
 """Interval set algebra: normalization, complements, Minkowski products.
 
-The Minkowski implementations run on scaled integers internally, so the
-key tests here cross-check them against a naive pure-Fraction version.
+Unions, normalize and the Minkowski products run on scaled integers, so the
+key tests here cross-check them against a naive pure-Fraction merge.
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,9 @@ from cantorval import (
     ClosedInterval,
     IntervalUnion,
     OpenInterval,
+    SpecValidationError,
     complement_gaps,
+    format_rational,
     minkowski_diff,
     minkowski_sum,
     normalize,
@@ -34,12 +37,23 @@ def unions(min_size=0, max_size=6):
     return st.lists(closed_intervals(), min_size=min_size, max_size=max_size).map(normalize)
 
 
+def fraction_merge(items) -> list[list[F]]:
+    """Reference merge in Fractions: sort, then join overlapping or touching intervals."""
+    merged: list[list[F]] = []
+    for lo, hi in sorted((iv.lo, iv.hi) for iv in items):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return merged
+
+
 def naive_minkowski(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalUnion:
     if diff:
         raw = [ClosedInterval(p.lo - q.hi, p.hi - q.lo) for p in a.parts for q in b.parts]
     else:
         raw = [ClosedInterval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts]
-    return normalize(raw)
+    return IntervalUnion(tuple(ClosedInterval(lo, hi) for lo, hi in fraction_merge(raw)))
 
 
 def brute_measure(parts, probes):
@@ -162,3 +176,55 @@ class TestScaledPipeline:
             minkowski_diff(u, normalize([]))
         with pytest.raises(ValueError):
             minkowski_sum(normalize([]), u)
+
+
+class TestLattice:
+    @given(st.lists(closed_intervals(), max_size=8), st.integers(min_value=1, max_value=6))
+    def test_scaled_union_matches_fraction_merge(self, items, factor):
+        expected = fraction_merge(items)
+        # a multiple of the least denominator, so that the constructor must reduce
+        denom = factor * lcm(*(x.denominator for pair in expected for x in pair))
+        los = [int(lo * denom) for lo, _ in expected]
+        his = [int(hi * denom) for _, hi in expected]
+        u = IntervalUnion.from_lattice(los, his, denom)
+        ref = normalize(items)
+        assert u.parts == ref.parts == tuple(ClosedInterval(lo, hi) for lo, hi in expected)
+        assert u.measure == ref.measure == sum((hi - lo for lo, hi in expected), F(0))
+        want_json = [[format_rational(lo), format_rational(hi)] for lo, hi in expected]
+        assert u.to_json() == ref.to_json() == want_json
+        assert u == ref and hash(u) == hash(ref) and repr(u) == repr(ref)
+        assert repr(u) == f"IntervalUnion(parts={tuple(ClosedInterval(lo, hi) for lo, hi in expected)!r})"
+        for j in range(1, len(expected)):
+            touching = his[:]
+            touching[j - 1] = los[j]
+            with pytest.raises(ValueError, match="parts not normalized"):
+                IntervalUnion.from_lattice(los, touching, denom)
+
+    def test_same_set_over_denominators_6_and_12(self):
+        a = IntervalUnion.from_lattice([-3, 1], [-1, 4], 6)
+        b = IntervalUnion.from_lattice([-6, 2], [-2, 8], 12)
+        assert a == b and hash(a) == hash(b)
+        assert (b.los, b.his, b.denom) == ((-3, 1), (-1, 4), 6)
+        assert b.to_json() == [["-1/2", "-1/6"], ["1/6", "2/3"]]
+        assert a == normalize([ClosedInterval(F(1, 6), F(2, 3)), ClosedInterval(F(-1, 2), F(-1, 6))])
+
+    def test_lattice_invariant_messages(self):
+        with pytest.raises(ValueError, match=r"^closed interval needs lo <= hi, got \[1/3, 0\]$"):
+            IntervalUnion.from_lattice([1], [0], 3)
+        with pytest.raises(ValueError, match=r"^parts not normalized near \[0, 1\] and \[1, 3/2\]$"):
+            IntervalUnion.from_lattice([0, 2], [2, 3], 2)
+
+    @pytest.mark.parametrize(
+        "data, words",
+        [
+            ("x", "must be a list"),
+            ([["1"]], "part 1 must be a [lo, hi] pair"),
+            ([["0", "1"], "01"], "part 2 must be a [lo, hi] pair"),
+            ([["1", "0"]], "part 1 needs lo <= hi, got [1, 0]"),
+            ([["0", 1]], "not a rational literal"),
+        ],
+    )
+    def test_from_json_rejects_malformed_unions(self, data, words):
+        with pytest.raises(SpecValidationError) as exc:
+            IntervalUnion.from_json(data)
+        assert words in str(exc.value)
