@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gapforest import gap_family, smallest_valid_base
 from .rationals import format_rational, parse_rational
-from .render import ascii_depth_stack, depth_stack, svg_depth_stack
+from .render import DepthStack, ascii_depth_stack, depth_stack, svg_depth_stack
 from .series import (
     DoublingPattern,
     MultigeometricSeries,
@@ -177,6 +177,8 @@ def _cmd_approx(args, budget):
 def _cmd_gaps(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     base = smallest_valid_base(seq) if args.k0 is None else args.k0
+    if base > 0:
+        raise AssumptionError(f"the gap family under the empty root needs k0 = 0, got k0 = {base}")
     # the root family starts at level 1
     levels = _depth(args, 3, minimum=1)
     family = gap_family(seq, (), levels, base, budget)
@@ -260,7 +262,10 @@ def _cmd_verify(args, budget):
 def _cmd_render(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     stack = depth_stack(seq, _depth(args, 5), budget)
-    return stack.to_json(), ascii_depth_stack(stack), svg_depth_stack(stack), 0
+    # build only the rendering of args.format: _emit prints that slot and ignores the others
+    render = {"json": DepthStack.to_json, "text": ascii_depth_stack, "svg": svg_depth_stack}
+    body = render[args.format](stack)
+    return body, body, body, 0
 
 
 def _cmd_examples(args, budget):
@@ -351,12 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, text: str, svg: str | None) -> None:
-    fmt = args.format or ("svg" if args.command == "render" else "json")
-    if fmt == "svg":
+    if args.format == "svg":
         if svg is None:
             raise SpecValidationError("--format svg is only available for render")
         body = svg
-    elif fmt == "text":
+    elif args.format == "text":
         body = text
     else:
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -370,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "spec", None) is None:
         args.spec = None
+    args.format = args.format or ("svg" if args.command == "render" else "json")
     try:
         budget = _resolve_cli_budget(args)
         payload, text, svg, status = _HANDLERS[args.command](args, budget)

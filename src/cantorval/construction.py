@@ -3,8 +3,8 @@
 A RatioSequence fixes, for every depth n >= 1, the fraction ratio_at(n) of a
 parent interval's length kept by each of its two children. Starting from
 [0, 1], depth n leaves 2^n closed intervals of common length depth_length(n);
-ratios strictly below 1/2 keep the 2^n parts strictly separated, so each
-depth-n approximation is already a normalized union.
+ratios strictly below 1/2 keep the 2^n parts strictly separated, so the
+shifted-copy fold that builds each depth-n approximation only concatenates.
 
 Each sequence caches one exact depth table, extended lazily: d(0..n) as
 Fractions and as integers over a common denominator. depth_length,
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .budget import charge
 from .errors import SpecValidationError
-from .intervals import ClosedInterval, IntervalUnion
+from .intervals import ClosedInterval, IntervalUnion, fold_copies
 from .rationals import format_rational, parse_rational_list
 
 _HALF = Fraction(1, 2)
@@ -48,13 +48,13 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
 
 class DepthTable:
     """Exact depth lengths of one sequence: lengths[r] == d(r) == ints[r] / denom,
-    and denoms[r] is the least common denominator of d(0..r). Never mutated; a
-    plain class because a dataclass would cost every CLI run a millisecond."""
+    so ints[0] == denom. Never mutated; a plain class because a dataclass would
+    cost every CLI run a millisecond."""
 
-    __slots__ = ("lengths", "ints", "denom", "denoms")
+    __slots__ = ("lengths", "ints", "denom")
 
-    def __init__(self, lengths: tuple, ints: tuple, denom: int, denoms: tuple):
-        self.lengths, self.ints, self.denom, self.denoms = lengths, ints, denom, denoms
+    def __init__(self, lengths: tuple, ints: tuple, denom: int):
+        self.lengths, self.ints, self.denom = lengths, ints, denom
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class RatioSequence:
         object.__setattr__(self, "period", _coerce_entries("period", self.period))
         if not self.period:
             raise SpecValidationError("period must contain at least one ratio")
-        object.__setattr__(self, "_depths", DepthTable((Fraction(1),), (1,), 1, (1,)))
+        object.__setattr__(self, "_depths", DepthTable((Fraction(1),), (1,), 1))
 
     def depth_table(self, n: int) -> DepthTable:
         """The sequence's depth table, reaching at least depth n. A deeper table
@@ -79,13 +79,12 @@ class RatioSequence:
             raise ValueError("depth must be >= 0")
         table = self._depths
         if n >= len(table.lengths):
-            lengths, denoms = list(table.lengths), list(table.denoms)
+            lengths = list(table.lengths)
             for r in range(len(lengths), n + 1):
                 lengths.append(lengths[-1] * self.ratio_at(r))
-                denoms.append(lcm(denoms[-1], lengths[-1].denominator))
-            denom = denoms[-1]
+            denom = lcm(*(d.denominator for d in lengths))
             ints = tuple(d.numerator * (denom // d.denominator) for d in lengths)
-            table = DepthTable(tuple(lengths), ints, denom, tuple(denoms))
+            table = DepthTable(tuple(lengths), ints, denom)
             object.__setattr__(self, "_depths", table)
         return table
 
@@ -138,10 +137,10 @@ def length_drop(seq: RatioSequence, r: int) -> Fraction:
 
 def scaled_lengths(seq: RatioSequence, n: int) -> tuple[list[int], int]:
     """Depth lengths 0..n as exact integers over their least common denominator."""
-    table = seq.depth_table(n)
-    denom = table.denoms[n]
-    factor = table.denom // denom
-    return [x // factor for x in table.ints[: n + 1]], denom
+    ints = seq.depth_table(n).ints[: n + 1]
+    # ints[0] is the table's denominator, so this gcd leaves the least one
+    g = gcd(*ints)
+    return [x // g for x in ints], ints[0] // g
 
 
 def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> ClosedInterval:
@@ -162,10 +161,6 @@ def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = No
         raise ValueError("depth must be >= 0")
     charge(1 << depth, budget)
     dints, denom = scaled_lengths(seq, depth)
-    lefts = [0]
-    for r in range(1, depth + 1):
-        w = dints[r - 1] - dints[r]
-        # digit r varies fastest: lex order, which is sorted because ratios < 1/2
-        lefts = [x + t for x in lefts for t in (0, w)]
-    size = dints[depth]
-    return IntervalUnion.from_lattice(lefts, [x + size for x in lefts], denom)
+    # [0, d_n] + sum over r of {0, w_r}, with w_r = d_{r-1} - d_r
+    levels = ((dints[r - 1] - dints[r],) for r in range(depth, 0, -1))
+    return fold_copies(levels, 0, dints[depth], denom)

@@ -8,13 +8,14 @@ anchored at its left end, center and right end; a child step with ratio
 below 1/3 opens two gaps, a step with ratio at least 1/3 leaves two
 overlaps instead.
 
-diff_approximation never lists the 3^n coded intervals. A Minkowski sum
-distributes over unions, so the depth-n set is built by self-similar folding
-from the finest level up: S_{n+1} = [0, 2 d_n], S_r is the normalized union
-of S_{r+1} shifted by 0, w_r and 2 w_r with w_r = d_{r-1} - d_r, and the
-result is S_1 - 1. The cost is the sum over levels of 3*|S_{r+1}| parts, not
-3^n: far fewer parts when overlaps merge, and 3^n only where every part
-survives. The budget still counts the 3^n coded intervals a depth stands for.
+diff_approximation never lists the 3^n coded intervals. The depth-n set is
+the Minkowski sum [-1, -1 + 2 d_n] + sum over r of {0, w_r, 2 w_r}, with
+w_r = d_{r-1} - d_r, and intervals.fold_copies builds it from the finest
+level up, adding the copies shifted by w_r and 2 w_r of the parts built so
+far; the geometry alone decides whether a copy concatenates or merges. The
+cost is the sum over levels of three times the parts built so far, not 3^n:
+far fewer parts when overlaps merge, and 3^n only where every part survives.
+The budget still counts the 3^n coded intervals a depth stands for.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 from .budget import charge
 from .construction import THIRD, RatioSequence, scaled_lengths
 from .errors import AssumptionError
-from .intervals import ClosedInterval, IntervalUnion, OpenInterval
+from .intervals import ClosedInterval, IntervalUnion, OpenInterval, fold_copies
 
 Code = tuple[int, ...]
 
@@ -86,48 +87,8 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
         raise ValueError("depth must be >= 0")
     charge(3**depth, budget)
     dints, denom = scaled_lengths(seq, depth)
-    # parts of S_{r+1} - 1, sorted and disjoint, as integers over denom; the answer is S_1 - 1
-    los, his = [-denom], [2 * dints[depth] - denom]
-    for r in range(depth, 0, -1):
-        w = dints[r - 1] - dints[r]
-        if 3 * dints[r] < dints[r - 1]:
-            # ratio below 1/3: the copies' hulls [k*w, k*w + 2 d_r] lie strictly apart
-            los = los + [x + w for x in los] + [x + 2 * w for x in los]
-            his = his + [x + w for x in his] + [x + 2 * w for x in his]
-        else:
-            los, his = _union_of_copies(los, his, w)
-    return IntervalUnion.from_lattice(los, his, denom)
-
-
-def _union_of_copies(los: list[int], his: list[int], w: int) -> tuple[list[int], list[int]]:
-    """Normalized union of the parts shifted by 0, w and 2w, in one linear merge.
-
-    Ratios stay below 1/2, so w > d_r and the copy shifted by 2w starts past
-    the end of the unshifted one: those two concatenate into one sorted run,
-    and only the middle copy has to be merged in. Touching parts merge.
-    """
-    a_lo = los + [x + 2 * w for x in los]
-    a_hi = his + [x + 2 * w for x in his]
-    b_lo = [x + w for x in los]
-    b_hi = [x + w for x in his]
-    out_lo: list[int] = []
-    out_hi: list[int] = []
-    i = j = 0
-    na, nb = len(a_lo), len(b_lo)
-    while i < na or j < nb:
-        if j == nb or (i < na and a_lo[i] <= b_lo[j]):
-            lo, hi = a_lo[i], a_hi[i]
-            i += 1
-        else:
-            lo, hi = b_lo[j], b_hi[j]
-            j += 1
-        if out_hi and lo <= out_hi[-1]:
-            if hi > out_hi[-1]:
-                out_hi[-1] = hi
-        else:
-            out_lo.append(lo)
-            out_hi.append(hi)
-    return out_lo, out_hi
+    levels = ((w, 2 * w) for w in (dints[r - 1] - dints[r] for r in range(depth, 0, -1)))
+    return fold_copies(levels, -denom, 2 * dints[depth] - denom, denom)
 
 
 def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:

@@ -7,15 +7,15 @@ one part has strictly separated parts.
 An IntervalUnion stores its endpoints on the integer lattice: two int tuples
 over one denominator, reduced so that the form is canonical. Building,
 measuring, comparing, hashing and printing a union therefore costs integer
-work only; the Fraction parts are built once, on first use. The producers
-(the difference-set fold, Cantor approximations, subsum covers, normalize
-and the Minkowski products) hand over their integers directly, and the last
-three share one integer sort-merge.
+work only; the Fraction parts are built once, on first use. Difference-set
+and Cantor approximations and subsum covers are Minkowski sums of one
+interval with point sets, all built by one fold of shifted copies; normalize
+and the Minkowski products share one integer sort-merge instead.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -219,6 +219,46 @@ def merge_scaled(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             merged.append([lo, hi])
     return [(lo, hi) for lo, hi in merged]
+
+
+def fold_copies(levels: Iterable[Sequence[int]], lo: int, hi: int, denom: int) -> IntervalUnion:
+    """The union [lo, hi] + sum over levels of {0, *shifts}, over denom.
+
+    Levels come innermost first, each with its positive shifts ascending: a
+    level adds one copy of the parts built so far per shift.
+    """
+    los, his = [lo], [hi]
+    for shifts in levels:
+        base_lo, base_hi = los, his
+        for s in shifts:
+            los, his = _add_copy(los, his, [x + s for x in base_lo], [x + s for x in base_hi])
+    return IntervalUnion.from_lattice(los, his, denom)
+
+
+def _add_copy(los: list[int], his: list[int], clo: list[int], chi: list[int]) -> tuple[list, list]:
+    """Union of sorted, separated parts and a copy of them shifted right, in one
+    linear pass. Parts that cannot meet the other side are kept by slice, and
+    only the zone between is merged. Touching parts merge."""
+    if clo[0] > his[-1]:
+        return los + clo, his + chi
+    i = bisect_left(his, clo[0])  # first part that reaches the copy
+    j = bisect_right(clo, his[-1])  # first copy part past every part
+    out_lo, out_hi = los[:i], his[:i]
+    a, b, na = i, 0, len(los)
+    while a < na or b < j:
+        if b == j or (a < na and los[a] <= clo[b]):
+            lo, hi = los[a], his[a]
+            a += 1
+        else:
+            lo, hi = clo[b], chi[b]
+            b += 1
+        if out_hi and lo <= out_hi[-1]:
+            if hi > out_hi[-1]:
+                out_hi[-1] = hi
+        else:
+            out_lo.append(lo)
+            out_hi.append(hi)
+    return out_lo + clo[j:], out_hi + chi[j:]
 
 
 def union_from_scaled(pairs: list[tuple[int, int]], denom: int) -> IntervalUnion:

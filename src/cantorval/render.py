@@ -52,18 +52,19 @@ def _family_gaps_by_level(
 ) -> dict[int, list[OpenInterval]]:
     """Persistent gaps keyed by the depth at which they first open.
 
-    Empty when the sequence has no valid base split or does not mix both
-    kinds of ratio forever, hence has no persistent family to speak of.
+    Empty when the sequence has no persistent family under the empty root:
+    its smallest valid base is not 0, or it does not mix both kinds of ratio
+    forever.
     """
     try:
         base = smallest_valid_base(seq)
         # at most depth - base small-ratio depths lie in (base, depth]
         ks = [k for k in small_ratio_indices(seq, base, max(depth - base, 0)) if k <= depth]
+        if not ks:
+            return {}
+        family = gap_family(seq, root=(), upto=len(ks), base=base, budget=budget)
     except AssumptionError:
         return {}
-    if not ks:
-        return {}
-    family = gap_family(seq, root=(), upto=len(ks), base=base, budget=budget)
     out: dict[int, list[OpenInterval]] = {}
     for n, k in enumerate(ks, 1):
         out[k] = sorted(

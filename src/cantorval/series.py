@@ -22,7 +22,7 @@ from .budget import charge
 from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
-from .intervals import IntervalUnion, merge_scaled, union_from_scaled
+from .intervals import IntervalUnion, fold_copies
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 
@@ -175,12 +175,9 @@ def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = 
     terms = [series.term(j) for j in range(1, depth + 1)]
     tail = series.remainder(depth)
     denom = lcm(tail.denominator, *(t.denominator for t in terms))
-    sums = [0]
-    for t in terms:
-        step = t.numerator * (denom // t.denominator)
-        sums = [s + delta for s in sums for delta in (0, step)]
-    reach = tail.numerator * (denom // tail.denominator)
-    return union_from_scaled(merge_scaled([(s, s + reach) for s in sums]), denom)
+    # [0, tail] + sum over j of {0, t_j}, the smallest terms folded in first
+    levels = ((t.numerator * (denom // t.denominator),) for t in reversed(terms))
+    return fold_copies(levels, 0, tail.numerator * (denom // tail.denominator), denom)
 
 
 def _bits(label: str, entries) -> tuple[int, ...]:

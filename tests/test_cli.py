@@ -13,6 +13,7 @@ EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
 SMALL_SPEC = '{"lambda": {"prefix": [], "period": ["1/4"]}}'
 FULL_SPEC = '{"lambda": {"prefix": [], "period": ["2/5"]}}'
 FINITE_SPEC = '{"lambda": {"prefix": ["1/5"], "period": ["2/5"]}}'
+POSITIVE_BASE_SPEC = '{"lambda": {"prefix": ["1/4", "2/5"], "period": ["7/15", "5/21"]}}'
 
 
 def run(capsys, *argv, expect=0):
@@ -72,6 +73,14 @@ class TestGapsAndSeries:
 
     def test_gaps_reject_pure_regime(self, capsys):
         run(capsys, "gaps", "--spec", SMALL_SPEC, expect=3)
+
+    @pytest.mark.parametrize(
+        "spec, extra, base",
+        [(POSITIVE_BASE_SPEC, (), 1), (EX1_SPEC, ("--k0", "1"), 1), (EX1_SPEC, ("--k0", "2"), 2)],
+    )
+    def test_gaps_need_base_zero(self, capsys, spec, extra, base):
+        _, err = run(capsys, "gaps", "--spec", spec, *extra, expect=3)
+        assert err == f"error: the gap family under the empty root needs k0 = 0, got k0 = {base}\n"
 
     def test_series_from_lambda(self, capsys):
         out, _ = run(capsys, "series", "--spec", EX1_SPEC)
@@ -141,6 +150,29 @@ class TestRender:
         # every ratio at least 1/3: no family gaps, the hull fills every row
         out, _ = run(capsys, "render", "--spec", FULL_SPEC, "--depth", "3", "--format", "text")
         assert out.splitlines()[1:] == [f"{n:>3} |{'#' * 64}|" for n in range(4)]
+
+    @pytest.mark.parametrize(
+        "spec", [POSITIVE_BASE_SPEC, '{"lambda": {"period": ["1/3", "1/5", "7/15"]}}']
+    )
+    def test_sequence_with_positive_base_renders(self, capsys, spec):
+        # the smallest valid base is 1, so there is no family under the empty root
+        out, _ = run(capsys, "render", "--spec", spec, "--depth", "6", "--format", "text")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 7 and not any("=" in row for row in rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "svg"])
+    def test_builds_only_the_printed_rendering(self, capsys, monkeypatch, fmt):
+        def unused(stack):
+            raise AssertionError("built a rendering that is not printed")
+
+        renderers = {
+            "json": "DepthStack.to_json", "text": "ascii_depth_stack", "svg": "svg_depth_stack"
+        }
+        for other, name in renderers.items():
+            if other != fmt:
+                monkeypatch.setattr(f"cantorval.cli.{name}", unused)
+        out, _ = run(capsys, "render", "--spec", EX1_SPEC, "--depth", "3", "--format", fmt)
+        assert out
 
     def test_json_rows_match_depth(self, capsys):
         out, _ = run(capsys, "render", "--spec", EX1_SPEC, "--depth", "2", "--format", "json")
@@ -316,7 +348,31 @@ def mutated_requests(draw):
     return command, doc, extra
 
 
+@st.composite
+def starved_requests(draw):
+    """A valid spec or certificate asked for a depth of 13-40 on a budget of 1-1000."""
+    command, doc = draw(
+        st.one_of(
+            st.tuples(st.just("verify"), st.sampled_from([c for _, c, _ in _CONTRACT_CERTIFICATES])),
+            st.tuples(st.sampled_from(["approx", "render"]), st.sampled_from(_CONTRACT_SPECS)),
+            # the specs whose gap family lives under the empty root
+            st.tuples(st.just("gaps"), st.sampled_from([_CONTRACT_SPECS[0], _CONTRACT_SPECS[-1]])),
+        )
+    )
+    depth, budget = draw(st.integers(13, 40)), draw(st.integers(1, 1000))
+    return [command, "--spec", json.dumps(doc), "--depth", str(depth), "--budget", str(budget)]
+
+
 class TestContract:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(starved_requests())
+    def test_huge_depth_on_tiny_budget_is_refused(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 4, f"exit {code}, stderr: {err}"
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutated_requests())
     def test_malformed_input_never_escapes_the_exit_codes(self, capsys, request_):

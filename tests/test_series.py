@@ -1,9 +1,10 @@
 """Subsum sets of fast convergent series and doubling patterns."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval import (
     AssumptionError,
@@ -136,6 +137,44 @@ class TestSubsumCover:
         for n in range(5):
             expected = cantor_approximation(seq, n).scale(series.total)
             assert subsum_cover(series, n) == expected
+
+
+@st.composite
+def multigeometric_series(draw):
+    """Nonincreasing series, fast convergent or not: sorted small rationals cut
+    into a prefix and a block, with a ratio that keeps the next block below."""
+    terms = st.builds(F, st.integers(1, 6), st.integers(1, 6))
+    terms = sorted(draw(st.lists(terms, min_size=1, max_size=5)), reverse=True)
+    cut = draw(st.integers(0, len(terms) - 1))
+    prefix, block = terms[:cut], terms[cut:]
+    ratio = min(block[-1] / block[0], draw(st.sampled_from([F(1, 5), F(1, 3), F(1, 2), F(3, 4)])))
+    return MultigeometricSeries(prefix=tuple(prefix), block=tuple(block), ratio=ratio)
+
+
+def _merge_fractions(intervals):
+    """Sort closed Fraction intervals and merge those that overlap or touch."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [tuple(pair) for pair in merged]
+
+
+class TestSubsumCoverBruteForce:
+    @settings(max_examples=100, deadline=None)
+    @given(multigeometric_series(), st.integers(0, 8))
+    # every copy touches the parts before it
+    @example(MultigeometricSeries(block=(F(1),), ratio=F(1, 2)), 6)
+    # a part of a copy lies inside a longer part before it
+    @example(MultigeometricSeries(block=(F(1), F(5, 6)), ratio=F(1, 5)), 5)
+    def test_matches_union_over_all_subsets(self, series, n):
+        terms = [series.term(j) for j in range(1, n + 1)]
+        tail = series.remainder(n)
+        sums = [sum(chosen, F(0)) for chosen in product(*((F(0), t) for t in terms))]
+        expected = _merge_fractions((s, s + tail) for s in sums)
+        assert [(p.lo, p.hi) for p in subsum_cover(series, n).parts] == expected
 
 
 class TestDoublingPattern:
