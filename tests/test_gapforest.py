@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorval import (
     AssumptionError,
@@ -41,6 +42,39 @@ from specimens import (
     EX3_MEASURE,
     FULL_TWO_FIFTHS,
 )
+from strategies import ratio_entries
+
+THIRD = F(1, 3)
+
+
+@st.composite
+def mixed_with_base(draw):
+    """A sequence whose period mixes both kinds of ratio, with a prefix, and a
+    valid base: a depth-(base + 1) ratio strictly above 1/3."""
+    prefix = draw(st.lists(ratio_entries(), max_size=3))
+    small = THIRD - F(1, draw(st.integers(4, 60)))
+    large = THIRD + F(1, draw(st.integers(7, 60)))
+    rest = draw(st.lists(ratio_entries(), max_size=2))
+    period = draw(st.permutations([small, large, *rest]))
+    seq = RatioSequence(prefix=tuple(prefix), period=tuple(period))
+    span = len(seq.prefix) + len(seq.period)
+    bases = [b for b in range(span) if seq.ratio_at(b + 1) > THIRD]
+    return seq, draw(st.sampled_from(bases))
+
+
+def plain_terms(seq, base, growth, shrink, count):
+    """(k_n, growth^(n-1) * (d(k_n - 1) - shrink*d(k_n))) for n = 1..count, with
+    every d a plain product of ratios."""
+    out = []
+    d_prev = F(1)
+    j = 0
+    while len(out) < count:
+        j += 1
+        d_here = d_prev * seq.ratio_at(j)
+        if j > base and seq.ratio_at(j) < THIRD:
+            out.append((j, growth ** len(out) * (d_prev - shrink * d_here)))
+        d_prev = d_here
+    return out
 
 
 class TestBaseAndIndices:
@@ -169,6 +203,29 @@ class TestSeriesSums:
         # sum of d_{k_n - 1} - d_{k_n} over all levels: the extreme spread
         total = small_index_series(EX1, 0, 1, F(1))
         assert total == F(2, 5)
+
+    @settings(max_examples=60)
+    @given(mixed_with_base(), st.sampled_from([(1, F(1)), (3, F(3))]))
+    def test_series_telescopes_and_scales_past_the_prefix(self, seq_base, growth_shrink):
+        seq, base = seq_base
+        growth, shrink = growth_shrink
+        per_period = sum(1 for r in seq.period if r < THIRD)
+        rho = F(growth) ** per_period
+        for r in seq.period:
+            rho *= r
+        last = len(seq.prefix) + per_period + 2
+        terms = plain_terms(seq, base, growth, shrink, last + per_period)
+
+        def series(start):
+            return small_index_series(seq, base, growth, shrink, start)
+
+        # S(s) - S(s + 1) is term s, across the prefix/period boundary
+        for s in range(1, last + 1):
+            assert series(s) - series(s + 1) == terms[s - 1][1]
+        # past the prefix, shifting by one period's small ratios scales by rho
+        for s in range(1, last + 1):
+            if terms[s - 1][0] > len(seq.prefix):
+                assert series(s + per_period) == rho * series(s)
 
     def test_mixed_prefix_series(self):
         seq = RatioSequence(prefix=(F(2, 5), F(1, 4)), period=EX1.period)
