@@ -30,7 +30,15 @@ from .construction import (
     cantor_approximation,
     depth_length,
 )
-from .diffsets import Code, code_str, diff_approximation, gap_bounds, validate_code
+from .diffsets import (
+    Code,
+    code_str,
+    diff_approximation,
+    gap_bounds,
+    scaled_gap,
+    scaled_interval,
+    validate_code,
+)
 from .errors import AssumptionError, SpecValidationError
 from .gapforest import (
     gap_family,
@@ -402,37 +410,25 @@ def cover_alignment(
     charge(2 * 3 ** (kn - 1 - len(digits)), budget)
     family = gap_family(seq, digits, level, base, budget).level(level)
     family_keys = {(g.code, g.side) for g in family}
-    offset = cover_offset(seq, level + 1, base)
-
-    # the offset (3 d(k) + d(k - 1)) / 2, k = ks[level], is whole over 2 * table.denom
+    # twice the offset, 3 d(k) + d(k - 1) with k = ks[level], is whole over the
+    # table's denominator; a fractional value would align no gap
     table = seq.depth_table(ks[level])
-    denom = 2 * table.denom
-    dints = [2 * x for x in table.ints]
-    offset_int = offset.numerator * (denom // offset.denominator)
-    weights = [dints[r - 1] - dints[r] for r in range(1, kn + 1)]
-    d_n = dints[kn]
-    d_prev = dints[kn - 1]
-    root_left = -denom + sum(d * w for d, w in zip(digits, weights))
+    twice_offset = 2 * cover_offset(seq, level + 1, base) * table.denom
+    twice_offset = twice_offset.numerator if twice_offset.denominator == 1 else None
 
     checked = 0
     failures: list[str] = []
     for tail in itertools.product((0, 1, 2), repeat=kn - 1 - len(digits)):
         code = digits + tail
-        left = root_left + sum(d * w for d, w in zip(tail, weights[len(digits) :]))
+        left, _ = scaled_interval(table, code)
         for side in (0, 1):
             if (code, side) in family_keys:
                 continue
             checked += 1
             witness = _witness_digits(code, side, ks, len(digits))
-            w_left = -denom + sum(d * w for d, w in zip(witness, weights))
-            w_right = w_left + 2 * d_n
-            if side == 0:
-                g_left = left + 2 * d_n
-                g_right = left + d_prev - d_n
-            else:
-                g_left = left + d_prev + d_n
-                g_right = left + 2 * d_prev - 2 * d_n
-            aligned = g_left - w_left == offset_int or w_right - g_right == offset_int
+            w_left, w_right = scaled_interval(table, witness)
+            g_left, g_right = scaled_gap(table, left, kn - 1, side)
+            aligned = twice_offset in (2 * (g_left - w_left), 2 * (w_right - g_right))
             if not (aligned and w_left <= g_left and g_right <= w_right):
                 failures.append(
                     f"gap code={code_str(code)} side={side} witness={code_str(witness)}"
@@ -451,11 +447,10 @@ class Check:
 
 
 def _family_complement_check(
-    seq: RatioSequence, levels: int, depth: int, budget: int | None
+    seq: RatioSequence, union: IntervalUnion, levels: int, depth: int, budget: int | None
 ) -> Check:
-    """The complement of the depth-k_N approximation must be exactly the
+    """The complement of the depth-k_N approximation, union, must be exactly the
     family gaps of levels 1..N."""
-    union = diff_approximation(seq, depth, budget)
     actual = [(g.lo, g.hi) for g in complement_gaps(union, ClosedInterval(Fraction(-1), Fraction(1)))]
     family = gap_family(seq, (), levels, 0, budget)
     expected = sorted(
@@ -546,18 +541,18 @@ def verify_certificate(
             reachable = [n for n, kn in enumerate(ks, 1) if kn <= depth]
             for n in reachable:
                 partial, _ = gap_union_partial(seq, n)
-                measured = diff_approximation(seq, ks[n - 1], budget).measure
+                union = diff_approximation(seq, ks[n - 1], budget)
                 checks.append(
                     Check(
                         f"partial-measure-level-{n}",
-                        measured == 2 - partial,
-                        f"depth {ks[n - 1]}: {measured} vs {2 - partial}",
+                        union.measure == 2 - partial,
+                        f"depth {ks[n - 1]}: {union.measure} vs {2 - partial}",
                     )
                 )
             if reachable:
-                checks.append(
-                    _family_complement_check(seq, reachable[-1], ks[reachable[-1] - 1], budget)
-                )
+                # the last level's union is the deepest approximation; fold it once
+                n = reachable[-1]
+                checks.append(_family_complement_check(seq, union, n, ks[n - 1], budget))
 
     oracle_depth = min(depth, 7)
     points = cantor_approximation(seq, oracle_depth, budget)

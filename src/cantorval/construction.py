@@ -7,10 +7,12 @@ ratios strictly below 1/2 keep the 2^n parts strictly separated, so the
 shifted-copy fold that builds each depth-n approximation only concatenates.
 
 Each sequence caches one exact depth table, extended lazily: d(0..n) as
-Fractions and as integers over a common denominator. depth_length,
-scaled_lengths and the endpoint formulas of diffsets read it instead of
-multiplying ratios or taking an lcm per call; it takes no part in equality,
-hashing, repr or JSON.
+Fractions and as integers over their least common denominator. It is the
+only place that multiplies ratios. depth_length, scaled_lengths,
+period_product, the endpoint kernel of diffsets (coded intervals, gaps and
+overlaps, and through it cover_alignment), the series sums of gapforest and
+series_from_ratios all read it; it takes no part in equality, hashing, repr
+or JSON.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .budget import charge
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
-from .rationals import format_rational, parse_rational_list
+from .rationals import format_rational, parse_rational_list, to_lattice
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -82,9 +84,8 @@ class RatioSequence:
             lengths = list(table.lengths)
             for r in range(len(lengths), n + 1):
                 lengths.append(lengths[-1] * self.ratio_at(r))
-            denom = lcm(*(d.denominator for d in lengths))
-            ints = tuple(d.numerator * (denom // d.denominator) for d in lengths)
-            table = DepthTable(tuple(lengths), ints, denom)
+            ints, denom = to_lattice(lengths)
+            table = DepthTable(tuple(lengths), tuple(ints), denom)
             object.__setattr__(self, "_depths", table)
         return table
 
@@ -102,10 +103,10 @@ class RatioSequence:
 
     @property
     def period_product(self) -> Fraction:
-        prod = Fraction(1)
-        for r in self.period:
-            prod *= r
-        return prod
+        """d(p + q) / d(p), with p and q the prefix and period lengths."""
+        p, q = len(self.prefix), len(self.period)
+        lengths = self.depth_table(p + q).lengths
+        return lengths[p + q] / lengths[p]
 
     def to_json(self) -> dict:
         return {

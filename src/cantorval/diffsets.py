@@ -16,16 +16,23 @@ far; the geometry alone decides whether a copy concatenates or merges. The
 cost is the sum over levels of three times the parts built so far, not 3^n:
 far fewer parts when overlaps merge, and 3^n only where every part survives.
 The budget still counts the 3^n coded intervals a depth stands for.
+
+The endpoint formulas live here once, on the integer lattice of the
+sequence's depth table: scaled_interval gives a coded interval's ends and
+scaled_gap the ends of the gap (or, swapped, the overlap) on one side below
+it. diff_interval, gap_at and overlap_at wrap them in Fractions;
+classify.cover_alignment compares their integers directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Sequence
 
 from .budget import charge
-from .construction import THIRD, RatioSequence, scaled_lengths
+from .construction import THIRD, DepthTable, RatioSequence, scaled_lengths
 from .errors import AssumptionError
 from .intervals import ClosedInterval, IntervalUnion, OpenInterval, fold_copies
 
@@ -62,23 +69,30 @@ class GapRef:
             raise ValueError(f"gap side must be 0 or 1, got {self.side}")
 
 
-def _scaled_left(seq: RatioSequence, digits: Code, depth: int) -> tuple[int, tuple[int, ...], int]:
-    """Left end of the coded interval and the depth lengths d(0..depth), as
-    integers over the depth table's denominator, which comes last."""
-    table = seq.depth_table(depth)
+def scaled_interval(table: DepthTable, digits: Code) -> tuple[int, int]:
+    """Ends of the coded interval, -1 + sum of digit-weighted length drops and that
+    plus 2 d_n, as integers over the depth table's denominator."""
     ints = table.ints
-    lo = -table.denom
-    for r, d in enumerate(digits, 1):
-        if d:
-            lo += d * (ints[r - 1] - ints[r])
-    return lo, ints, table.denom
+    lo = sum(map(mul, digits, map(sub, ints, ints[1 : len(digits) + 1]))) - table.denom
+    return lo, lo + 2 * ints[len(digits)]
+
+
+def scaled_gap(table: DepthTable, lo: int, n: int, side: int) -> tuple[int, int]:
+    """Ends of the gap on one side between the children of a length-n code whose
+    coded interval starts at lo, over the depth table's denominator; the overlap
+    on that side, when the next ratio is at least 1/3, has the same ends swapped."""
+    d, d_next = table.ints[n], table.ints[n + 1]
+    if side == 0:
+        return lo + 2 * d_next, lo + d - d_next
+    return lo + d + d_next, lo + 2 * d - 2 * d_next
 
 
 def diff_interval(seq: RatioSequence, code: Sequence[int]) -> ClosedInterval:
     """The coded interval: left endpoint -1 + sum of digit-weighted length drops."""
     digits = validate_code(code)
-    lo, ints, denom = _scaled_left(seq, digits, len(digits))
-    return ClosedInterval(Fraction(lo, denom), Fraction(lo + 2 * ints[len(digits)], denom))
+    table = seq.depth_table(len(digits))
+    lo, hi = scaled_interval(table, digits)
+    return ClosedInterval(Fraction(lo, table.denom), Fraction(hi, table.denom))
 
 
 def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> IntervalUnion:
@@ -92,8 +106,9 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
 
 
 def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:
-    """Scaled left end, d_n and d_{n+1} below a code, and their common denominator;
-    a gap opens there only at a next ratio below 1/3, an overlap only otherwise."""
+    """The scaled ends of the gap on one side below a code, and the depth table's
+    denominator; a gap opens there only at a next ratio below 1/3, an overlap
+    only otherwise."""
     digits = validate_code(code)
     if side not in (0, 1):
         raise ValueError(f"{kind} side must be 0 or 1, got {side}")
@@ -105,17 +120,14 @@ def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> 
             f"no {kind} below code {code_str(digits) or '(empty)'}: "
             f"ratio {ratio} at depth {n + 1} {relation} 1/3"
         )
-    lo, ints, denom = _scaled_left(seq, digits, n + 1)
-    return lo, ints[n], ints[n + 1], denom
+    table = seq.depth_table(n + 1)
+    lo, _ = scaled_interval(table, digits)
+    return scaled_gap(table, lo, n, side), table.denom
 
 
 def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> OpenInterval:
     """Open gap left between consecutive children; needs the next ratio below 1/3."""
-    lo, d, d_next, denom = _children(seq, code, side, "gap")
-    if side == 0:
-        lo, hi = lo + 2 * d_next, lo + d - d_next
-    else:
-        lo, hi = lo + d + d_next, lo + 2 * d - 2 * d_next
+    (lo, hi), denom = _children(seq, code, side, "gap")
     return OpenInterval(Fraction(lo, denom), Fraction(hi, denom))
 
 
@@ -125,9 +137,5 @@ def gap_bounds(seq: RatioSequence, ref: GapRef) -> OpenInterval:
 
 def overlap_at(seq: RatioSequence, code: Sequence[int], side: int) -> ClosedInterval:
     """Closed overlap of consecutive children; needs the next ratio at least 1/3."""
-    lo, d, d_next, denom = _children(seq, code, side, "overlap")
-    if side == 0:
-        lo, hi = lo + d - d_next, lo + 2 * d_next
-    else:
-        lo, hi = lo + 2 * d - 2 * d_next, lo + d + d_next
+    (hi, lo), denom = _children(seq, code, side, "overlap")
     return ClosedInterval(Fraction(lo, denom), Fraction(hi, denom))

@@ -110,7 +110,6 @@ class GapFamily:
 
     root: Code
     base: int
-    start_level: int
     levels: tuple[tuple[int, frozenset[GapRef]], ...]
 
     def level(self, n: int) -> frozenset[GapRef]:
@@ -170,7 +169,6 @@ def gap_family(
     return GapFamily(
         root=digits,
         base=base,
-        start_level=m,
         levels=tuple(sorted(levels.items())),
     )
 
@@ -185,38 +183,20 @@ def small_index_series(
     fixed factor growth^(per-period small count) * (period product), so the
     series is a finite head plus one geometric tail per block position.
     """
-    _require_mixed(seq)
-    require_base(seq, base)
     prefix_len = len(seq.prefix)
     per_period = sum(1 for r in seq.period if r < THIRD)
+    # at most prefix_len of the k_n lie in the prefix, so these reach one block past it
+    ks = small_ratio_indices(seq, base, max(start, 1) - 1 + prefix_len + per_period)
     ratio = Fraction(growth) ** per_period * seq.period_product
     if ratio >= 1:
         raise AssumptionError(f"series does not converge: block ratio {ratio} is not below 1")
-
-    head = Fraction(0)
-    block = Fraction(0)
-    block_terms = 0
-    n = 0
-    gpow = Fraction(1)
-    d_prev = Fraction(1)
-    j = 0
-    while True:
-        j += 1
-        r = seq.ratio_at(j)
-        d_here = d_prev * r
-        if j > base and r < THIRD:
-            n += 1
-            term = gpow * (d_prev - shrink * d_here)
-            gpow *= growth
-            if n >= start:
-                if j <= prefix_len:
-                    head += term
-                else:
-                    block += term
-                    block_terms += 1
-                    if block_terms == per_period:
-                        return head + block / (1 - ratio)
-        d_prev = d_here
+    d = seq.depth_table(ks[-1]).lengths
+    terms = [
+        (k, growth ** (n - 1) * (d[k - 1] - shrink * d[k])) for n, k in enumerate(ks, 1) if n >= start
+    ]
+    head = sum((t for k, t in terms if k <= prefix_len), Fraction(0))
+    block = sum([t for k, t in terms if k > prefix_len][:per_period], Fraction(0))
+    return head + block / (1 - ratio)
 
 
 def gap_union_measure(seq: RatioSequence) -> Fraction:
@@ -225,8 +205,6 @@ def gap_union_measure(seq: RatioSequence) -> Fraction:
     Level n contributes 2*3^(n-1) disjoint gaps of common length
     d(k_n - 1) - 3*d(k_n).
     """
-    _require_mixed(seq)
-    require_base(seq, 0)
     return 2 * small_index_series(seq, 0, growth=3, shrink=Fraction(3))
 
 

@@ -23,7 +23,7 @@ from operator import le, lt
 from typing import Iterable, Sequence
 
 from .errors import SpecValidationError
-from .rationals import format_scaled, parse_rational
+from .rationals import format_scaled, parse_rational, to_lattice
 
 
 @dataclass(frozen=True, order=True)
@@ -179,11 +179,8 @@ class IntervalUnion:
 
 def _on_lattice(parts: Sequence[ClosedInterval]) -> tuple[list[int], list[int], int]:
     """Endpoints as integers over their least common denominator."""
-    # math.lcm() of no arguments is 1, the right identity here
-    denom = lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
-    los = [p.lo.numerator * (denom // p.lo.denominator) for p in parts]
-    his = [p.hi.numerator * (denom // p.hi.denominator) for p in parts]
-    return los, his, denom
+    ints, denom = to_lattice([x for p in parts for x in (p.lo, p.hi)])
+    return ints[0::2], ints[1::2], denom
 
 
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:

@@ -6,7 +6,7 @@ rejected so that no inexact value can enter through a spec file.
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SpecValidationError
 
@@ -35,3 +35,10 @@ def format_scaled(numerator: int, denom: int) -> str:
     """format_rational(Fraction(numerator, denom)) without building the Fraction."""
     g = gcd(numerator, denom)
     return str(numerator // g) if g == denom else f"{numerator // g}/{denom // g}"
+
+
+def to_lattice(values: list[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integers over their least common denominator, which is 1 for
+    no values: the inverse of format_scaled."""
+    denom = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .budget import charge
 from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
-from .rationals import format_rational, parse_rational, parse_rational_list
+from .rationals import format_rational, parse_rational, parse_rational_list, to_lattice
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -111,12 +110,8 @@ class MultigeometricSeries:
 def series_from_ratios(seq: RatioSequence) -> MultigeometricSeries:
     """Lengths removed at each depth: term j is d(j-1) - d(j). Sums to 1."""
     span = len(seq.prefix) + len(seq.period)
-    drops = []
-    d_prev = Fraction(1)
-    for j in range(1, span + 1):
-        d_here = d_prev * seq.ratio_at(j)
-        drops.append(d_prev - d_here)
-        d_prev = d_here
+    d = seq.depth_table(span).lengths
+    drops = [d[j - 1] - d[j] for j in range(1, span + 1)]
     return MultigeometricSeries(
         prefix=tuple(drops[: len(seq.prefix)]),
         block=tuple(drops[len(seq.prefix) :]),
@@ -173,11 +168,9 @@ def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = 
         raise ValueError("depth must be >= 0")
     charge(1 << depth, budget)
     terms = [series.term(j) for j in range(1, depth + 1)]
-    tail = series.remainder(depth)
-    denom = lcm(tail.denominator, *(t.denominator for t in terms))
+    (*ints, tail), denom = to_lattice([*terms, series.remainder(depth)])
     # [0, tail] + sum over j of {0, t_j}, the smallest terms folded in first
-    levels = ((t.numerator * (denom // t.denominator),) for t in reversed(terms))
-    return fold_copies(levels, 0, tail.numerator * (denom // tail.denominator), denom)
+    return fold_copies(((t,) for t in reversed(ints)), 0, tail, denom)
 
 
 def _bits(label: str, entries) -> tuple[int, ...]:

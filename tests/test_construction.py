@@ -5,7 +5,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval import (
     ClosedInterval,
@@ -42,8 +42,16 @@ class TestRatioSequence:
         got = [seq.ratio_at(n) for n in range(1, 7)]
         assert got == [F(1, 4), F(1, 3), F(2, 5), F(1, 3), F(2, 5), F(1, 3)]
 
-    def test_period_product(self):
-        assert EX1.period_product == F(7, 15) * F(5, 21) == F(1, 9)
+    @settings(max_examples=40)
+    @given(ratio_sequences(), st.integers(0, 8))
+    @example(EX1, 0)
+    def test_period_product(self, seq, warm):
+        # the product reads the depth table, whatever depth it already reaches
+        depth_length(seq, warm)
+        want = F(1)
+        for r in seq.period:
+            want *= r
+        assert seq.period_product == want
 
     def test_constant(self):
         seq = RatioSequence.constant(F(1, 3))

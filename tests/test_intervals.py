@@ -22,6 +22,7 @@ from cantorval import (
     normalize,
 )
 from cantorval.intervals import merge_scaled, union_from_scaled
+from cantorval.rationals import format_scaled, to_lattice
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=48)
 
@@ -207,6 +208,17 @@ class TestLattice:
         assert (b.los, b.his, b.denom) == ((-3, 1), (-1, 4), 6)
         assert b.to_json() == [["-1/2", "-1/6"], ["1/6", "2/3"]]
         assert a == normalize([ClosedInterval(F(1, 6), F(2, 3)), ClosedInterval(F(-1, 2), F(-1, 6))])
+
+    def test_to_lattice_cases(self):
+        assert to_lattice([F(3), F(-2), F(0)]) == ([3, -2, 0], 1)
+        assert to_lattice([F(1, 6), F(-3, 4), F(2)]) == ([2, -9, 24], 12)
+        assert to_lattice([]) == ([], 1)
+
+    @given(st.lists(rationals, max_size=8))
+    def test_to_lattice_inverts_format_scaled(self, values):
+        ints, denom = to_lattice(values)
+        assert denom == lcm(*(v.denominator for v in values))
+        assert [format_scaled(x, denom) for x in ints] == [format_rational(v) for v in values]
 
     def test_lattice_invariant_messages(self):
         with pytest.raises(ValueError, match=r"^closed interval needs lo <= hi, got \[1/3, 0\]$"):

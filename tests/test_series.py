@@ -13,7 +13,6 @@ from cantorval import (
     SpecValidationError,
     cantor_approximation,
     cantorval_measure,
-    depth_length,
     difference_measure,
     is_fast_convergent,
     kakeya_classify,
@@ -82,10 +81,16 @@ class TestRatioBridge:
         assert is_fast_convergent(series)
         assert ratios_from_series(series) == seq
 
-    def test_terms_are_depth_drops(self):
-        series = series_from_ratios(EX1)
+    @settings(max_examples=40)
+    @given(ratio_sequences())
+    @example(EX1)
+    def test_terms_are_depth_drops(self, seq):
+        series = series_from_ratios(seq)
+        d_prev = F(1)
         for j in range(1, 9):
-            assert series.term(j) == depth_length(EX1, j - 1) - depth_length(EX1, j)
+            d_here = d_prev * seq.ratio_at(j)
+            assert series.term(j) == d_prev - d_here
+            d_prev = d_here
 
     def test_slow_series_has_no_ratio_form(self):
         slow = MultigeometricSeries.from_json(INCONCLUSIVE_SERIES_JSON)
