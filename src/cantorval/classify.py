@@ -428,7 +428,7 @@ def cover_alignment(
             witness = _witness_digits(code, side, ks, len(digits))
             w_left, w_right = scaled_interval(table, witness)
             g_left, g_right = scaled_gap(table, left, kn - 1, side)
-            aligned = twice_offset in (2 * (g_left - w_left), 2 * (w_right - g_right))
+            aligned = 2 * (g_left - w_left) == twice_offset or 2 * (w_right - g_right) == twice_offset
             if not (aligned and w_left <= g_left and g_right <= w_right):
                 failures.append(
                     f"gap code={code_str(code)} side={side} witness={code_str(witness)}"

@@ -50,13 +50,15 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
 
 class DepthTable:
     """Exact depth lengths of one sequence: lengths[r] == d(r) == ints[r] / denom,
-    so ints[0] == denom. Never mutated; a plain class because a dataclass would
+    so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r], the scaled
+    weight of digit r. Never mutated; a plain class because a dataclass would
     cost every CLI run a millisecond."""
 
-    __slots__ = ("lengths", "ints", "denom")
+    __slots__ = ("lengths", "ints", "denom", "drops")
 
     def __init__(self, lengths: tuple, ints: tuple, denom: int):
         self.lengths, self.ints, self.denom = lengths, ints, denom
+        self.drops = tuple(a - b for a, b in zip(ints, ints[1:]))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from .budget import charge
@@ -72,9 +72,8 @@ class GapRef:
 def scaled_interval(table: DepthTable, digits: Code) -> tuple[int, int]:
     """Ends of the coded interval, -1 + sum of digit-weighted length drops and that
     plus 2 d_n, as integers over the depth table's denominator."""
-    ints = table.ints
-    lo = sum(map(mul, digits, map(sub, ints, ints[1 : len(digits) + 1]))) - table.denom
-    return lo, lo + 2 * ints[len(digits)]
+    lo = sum(map(mul, digits, table.drops)) - table.denom
+    return lo, lo + 2 * table.ints[len(digits)]
 
 
 def scaled_gap(table: DepthTable, lo: int, n: int, side: int) -> tuple[int, int]:
