@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .budget import charge
+from .budget import charge, resolve_budget
 from .construction import (
     THIRD,
     RatioSequence,
@@ -537,7 +537,8 @@ def verify_certificate(
             checks.append(
                 Check("closed-form-measure", total == cert.measure, f"recomputed {total}")
             )
-            ks = small_ratio_indices(seq, 0, depth)
+            # level c, the budget's bit length, has k_c >= c: its fold of 3^k_c > budget is refused
+            ks = small_ratio_indices(seq, 0, min(depth, resolve_budget(budget).bit_length()))
             reachable = [n for n, kn in enumerate(ks, 1) if kn <= depth]
             for n in reachable:
                 partial, _ = gap_union_partial(seq, n)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .classify import (
@@ -33,6 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .gapforest import gap_family, smallest_valid_base
+from .intervals import IntervalUnion
 from .rationals import format_rational, parse_rational
 from .render import DepthStack, ascii_depth_stack, depth_stack, svg_depth_stack
 from .series import (
@@ -80,7 +82,7 @@ def _load_input(spec: str | None) -> dict:
     else:
         try:
             source = Path(spec).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SpecValidationError(f"cannot read spec file {spec}: {exc}") from exc
         origin = spec
     try:
@@ -164,13 +166,9 @@ def _cmd_approx(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     depth = _depth(args, 4)
     union = diff_approximation(seq, depth, budget)
-    payload = {
-        "depth": depth,
-        "count": len(union.los),
-        "measure": format_rational(union.measure),
-        "parts": union.to_json(),
-    }
-    text = "".join(f"[{lo}, {hi}]\n" for lo, hi in payload["parts"])
+    # _json writes the union's parts straight from its lattice
+    payload = {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": union}
+    text = "[%s, %s]\n" * len(union.los) % tuple(union.endpoints()) if args.format == "text" else None
     return payload, text, None, 0
 
 
@@ -355,17 +353,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, text: str, svg: str | None) -> None:
-    if args.format == "svg":
-        if svg is None:
-            raise SpecValidationError("--format svg is only available for render")
-        body = svg
-    elif args.format == "text":
-        body = text
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the payloads the commands
+    build: dicts with str keys, lists, tuples, str, int, bool and None. An
+    IntervalUnion is written as its to_json(), from one row template."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, IntervalUnion):
+        # endpoint strings are digits, "-" and "/": nothing to escape
+        row = f'[{inner}  "%s",{inner}  "%s"{inner}]'
+        items = [f",{inner}".join([row] * len(value.los)) % tuple(value.endpoints())] if value.los else []
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
     else:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(value)
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return f"{ends[0]}{inner}{f',{inner}'.join(items)}{indent}{ends[1]}" if items else ends
+
+
+def _emit(args, payload, text: str | None, svg: str | None) -> None:
+    body = svg if args.format == "svg" else text if args.format == "text" else _json(payload) + "\n"
     if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
+        try:
+            Path(args.out).write_text(body, encoding="utf-8")
+        except OSError as exc:
+            raise SpecValidationError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -377,6 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     args.format = args.format or ("svg" if args.command == "render" else "json")
     try:
         budget = _resolve_cli_budget(args)
+        if args.format == "svg" and args.command != "render":
+            raise SpecValidationError("--format svg is only available for render")
         payload, text, svg, status = _HANDLERS[args.command](args, budget)
         _emit(args, payload, text, svg)
         return status

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .budget import charge
+from .budget import charge_power
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
 from .rationals import format_rational, parse_rational_list, to_lattice
@@ -162,7 +162,7 @@ def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = No
     """Union of all 2^depth kept intervals, as a normalized IntervalUnion."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    charge(1 << depth, budget)
+    charge_power(2, depth, budget)
     dints, denom = scaled_lengths(seq, depth)
     # [0, d_n] + sum over r of {0, w_r}, with w_r = d_{r-1} - d_r
     levels = ((dints[r - 1] - dints[r],) for r in range(depth, 0, -1))

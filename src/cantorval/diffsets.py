@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .budget import charge
+from .budget import charge_power
 from .construction import THIRD, DepthTable, RatioSequence, scaled_lengths
 from .errors import AssumptionError
 from .intervals import ClosedInterval, IntervalUnion, OpenInterval, fold_copies
@@ -98,7 +98,7 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
     """Normalized union of all 3^depth coded intervals at the given depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    charge(3**depth, budget)
+    charge_power(3, depth, budget)
     dints, denom = scaled_lengths(seq, depth)
     levels = ((w, 2 * w) for w in (dints[r - 1] - dints[r] for r in range(depth, 0, -1)))
     return fold_copies(levels, -denom, 2 * dints[depth] - denom, denom)

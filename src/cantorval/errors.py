@@ -14,9 +14,10 @@ class AssumptionError(CantorvalError):
 
 
 class DepthBudgetError(CantorvalError):
-    """An enumeration would exceed the configured interval budget (exit 4)."""
+    """An enumeration would exceed the configured interval budget (exit 4). `needed`
+    is the count, or a formula such as "3**100" for one too large to build."""
 
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, needed: int | str, budget: int):
         super().__init__(f"enumeration needs {needed} intervals, budget is {budget}")
         self.needed = needed
         self.budget = budget

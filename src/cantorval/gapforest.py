@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .budget import charge
+from .budget import charge_power
 from .construction import THIRD, RatioSequence, depth_length
 from .diffsets import Code, GapRef, code_str, diff_interval, gap_bounds, validate_code
 from .errors import AssumptionError
@@ -151,7 +151,7 @@ def gap_family(
     m = first_level(seq, digits, base)
     if upto < m:
         raise ValueError(f"upto {upto} is below the first family level {m}")
-    charge(3 ** (upto - m + 1) - 1, budget)
+    charge_power(3, upto - m + 1, budget, less=1)
     ks = small_ratio_indices(seq, base, upto)
     levels: dict[int, frozenset[GapRef]] = {}
     for n in range(m, upto + 1):

@@ -157,9 +157,15 @@ class IntervalUnion:
         """Reflection through 0."""
         return IntervalUnion(tuple(ClosedInterval(-p.hi, -p.lo) for p in reversed(self.parts)))
 
+    def endpoints(self) -> list[str]:
+        """Every part's lo and hi in turn, as reduced rational strings."""
+        ends = [0] * (2 * len(self.los))
+        ends[0::2], ends[1::2] = self.los, self.his
+        return format_scaled(ends, self.denom)
+
     def to_json(self) -> list[list[str]]:
-        d = self.denom
-        return [[format_scaled(lo, d), format_scaled(hi, d)] for lo, hi in zip(self.los, self.his)]
+        ends = self.endpoints()
+        return [[lo, hi] for lo, hi in zip(ends[0::2], ends[1::2])]
 
     @classmethod
     def from_json(cls, data) -> "IntervalUnion":

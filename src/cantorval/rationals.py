@@ -6,7 +6,9 @@ rejected so that no inexact value can enter through a spec file.
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import floordiv
 
 from .errors import SpecValidationError
 
@@ -31,10 +33,16 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def format_scaled(numerator: int, denom: int) -> str:
-    """format_rational(Fraction(numerator, denom)) without building the Fraction."""
-    g = gcd(numerator, denom)
-    return str(numerator // g) if g == denom else f"{numerator // g}/{denom // g}"
+def format_scaled(numerators: list[int], denom: int) -> list[str]:
+    """format_rational(Fraction(x, denom)) for each numerator x, without building
+    the Fractions: the gcds and divisions are mapped in C and every string is cut
+    from one %-format."""
+    gs = list(map(gcd, numerators, repeat(denom)))
+    terms = [0] * (2 * len(gs))
+    terms[0::2] = map(floordiv, numerators, gs)
+    terms[1::2] = map(floordiv, repeat(denom), gs)
+    # only a whole number reduces to denominator 1, and "/1," occurs nowhere else
+    return ("%d/%d," * len(gs) % tuple(terms)).replace("/1,", ",").split(",")[:-1]
 
 
 def to_lattice(values: list[Fraction]) -> tuple[list[int], int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import RatioSequence
+from .construction import THIRD, RatioSequence
 from .diffsets import diff_approximation, gap_bounds
 from .errors import AssumptionError
 from .gapforest import gap_family, small_ratio_indices, smallest_valid_base
@@ -47,6 +47,13 @@ class DepthStack:
         }
 
 
+def _small_ratio_count(seq: RatioSequence, depth: int) -> int:
+    """How many of depths 1..depth have a ratio below 1/3, counted per period."""
+    periods, rest = divmod(max(depth - len(seq.prefix), 0), len(seq.period))
+    head = (*seq.prefix[:depth], *seq.period[:rest])
+    return sum(r < THIRD for r in head) + periods * sum(r < THIRD for r in seq.period)
+
+
 def _family_gaps_by_level(
     seq: RatioSequence, depth: int, budget: int | None
 ) -> dict[int, list[OpenInterval]]:
@@ -58,11 +65,12 @@ def _family_gaps_by_level(
     """
     try:
         base = smallest_valid_base(seq)
-        # at most depth - base small-ratio depths lie in (base, depth]
-        ks = [k for k in small_ratio_indices(seq, base, max(depth - base, 0)) if k <= depth]
-        if not ks:
+        count = _small_ratio_count(seq, depth) - _small_ratio_count(seq, base)
+        if count <= 0:
             return {}
-        family = gap_family(seq, root=(), upto=len(ks), base=base, budget=budget)
+        # the family is charged before its depths are listed
+        family = gap_family(seq, root=(), upto=count, base=base, budget=budget)
+        ks = small_ratio_indices(seq, base, count)
     except AssumptionError:
         return {}
     out: dict[int, list[OpenInterval]] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import charge
+from .budget import charge_power
 from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
@@ -166,7 +166,7 @@ def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = 
     [subset sum, subset sum + remainder(depth)], normalized."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    charge(1 << depth, budget)
+    charge_power(2, depth, budget)
     terms = [series.term(j) for j in range(1, depth + 1)]
     (*ints, tail), denom = to_lattice([*terms, series.remainder(depth)])
     # [0, tail] + sum over j of {0, t_j}, the smallest terms folded in first

@@ -2,12 +2,27 @@
 
 import copy
 import json
+import time
+from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cantorval import Certificate, RatioSequence, classify
-from cantorval.cli import main
+from cantorval import (
+    Certificate,
+    IntervalUnion,
+    RatioSequence,
+    classify,
+    depth_stack,
+    diff_approximation,
+    format_rational,
+    gap_family,
+    kakeya_classify,
+    series_from_ratios,
+    verify_certificate,
+)
+from cantorval.cli import _HANDLERS, _json, main
+from strategies import ratio_sequences
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
 SMALL_SPEC = '{"lambda": {"prefix": [], "period": ["1/4"]}}'
@@ -42,8 +57,11 @@ class TestClassify:
         assert "verdict: Cantorval" in out
         assert "measure: 8/5" in out
 
-    def test_svg_rejected_outside_render(self, capsys):
-        run(capsys, "classify", "--spec", EX1_SPEC, "--format", "svg", expect=2)
+    def test_svg_rejected_outside_render(self, capsys, monkeypatch):
+        # refused before the command runs
+        monkeypatch.setitem(_HANDLERS, "classify", lambda args, budget: pytest.fail("classify ran"))
+        _, err = run(capsys, "classify", "--spec", EX1_SPEC, "--format", "svg", expect=2)
+        assert err == "error: --format svg is only available for render\n"
 
 
 class TestMeasureAndApprox:
@@ -282,6 +300,18 @@ class TestExitCodes:
         _, err = run(capsys, "series", "--spec", spec, expect=2)
         assert "block must be a list" in err
 
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        # a missing directory, and a directory where the file should go
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            _, err = run(capsys, "examples", "--out", str(target), expect=2)
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    def test_spec_file_must_be_utf8(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_bytes(b"\xff\xfe")
+        _, err = run(capsys, "classify", "--spec", str(spec_file), expect=2)
+        assert err.startswith(f"error: cannot read spec file {spec_file}: ") and err.count("\n") == 1
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -350,7 +380,7 @@ def mutated_requests(draw):
 
 @st.composite
 def starved_requests(draw):
-    """A valid spec or certificate asked for a depth of 13-40 on a budget of 1-1000."""
+    """A valid spec or certificate asked for a depth of 13-10^18 on a budget of 1-1000."""
     command, doc = draw(
         st.one_of(
             st.tuples(st.just("verify"), st.sampled_from([c for _, c, _ in _CONTRACT_CERTIFICATES])),
@@ -359,7 +389,8 @@ def starved_requests(draw):
             st.tuples(st.just("gaps"), st.sampled_from([_CONTRACT_SPECS[0], _CONTRACT_SPECS[-1]])),
         )
     )
-    depth, budget = draw(st.integers(13, 40)), draw(st.integers(1, 1000))
+    depth = draw(st.one_of(st.integers(13, 40), st.integers(41, 10**18)))
+    budget = draw(st.integers(1, 1000))
     return [command, "--spec", json.dumps(doc), "--depth", str(depth), "--budget", str(budget)]
 
 
@@ -367,9 +398,12 @@ class TestContract:
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(starved_requests())
     def test_huge_depth_on_tiny_budget_is_refused(self, capsys, argv):
+        start = time.monotonic()
         code = main(argv)
+        elapsed = time.monotonic() - start
         out, err = capsys.readouterr()
         assert code == 4, f"exit {code}, stderr: {err}"
+        assert elapsed < 5, f"refused after {elapsed:.1f} s"
         assert out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -386,3 +420,70 @@ class TestContract:
             Certificate.from_json(doc)
         elif code:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["", "é", "\u2028", '"\\', "\x00\n\t", "\U0001f600"]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20), _TEXT)
+# [lo, hi] pair lists, with entries that need not be strings
+_PAIR_LISTS = st.lists(st.lists(_SCALARS, min_size=2, max_size=2), max_size=4)
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _PAIR_LISTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": ()})
+    @example([["-1", "1/3"], ["2/3", 1], [None, True]])
+    @given(_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert _json(payload) == _dumps(payload)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratio_sequences(), st.integers(0, 4))
+    def test_union_is_written_as_its_to_json(self, seq, depth):
+        union = diff_approximation(seq, depth)
+        empty = IntervalUnion(())
+        payload = {"parts": union, "nested": [[union, empty]]}
+        expected = {"parts": union.to_json(), "nested": [[union.to_json(), []]]}
+        assert _json(payload) == _dumps(expected)
+
+    def test_each_command_prints_json_dumps_of_its_payload(self, capsys):
+        def expect(payload, *argv):
+            out, _ = run(capsys, *argv)
+            assert out == _dumps(payload) + "\n"
+
+        seq = RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"])
+        union = diff_approximation(RatioSequence.constant(F(1, 4)), 5)
+        approx = {"depth": 5, "count": 243, "measure": format_rational(union.measure), "parts": union.to_json()}
+        expect(approx, "approx", "--spec", SMALL_SPEC, "--depth", "5")
+        expect(gap_family(seq, (), 3).to_json(seq), "gaps", "--spec", EX1_SPEC, "--depth", "3")
+        cert = classify(seq)
+        expect(cert.to_json(), "classify", "--spec", EX1_SPEC)
+        checks = [c.to_json() for c in verify_certificate(cert, depth=4)]
+        expect({"passed": True, "checks": checks}, "verify", "--spec", json.dumps(cert.to_json()), "--depth", "4")
+        expect(depth_stack(seq, 3).to_json(), "render", "--spec", EX1_SPEC, "--depth", "3", "--format", "json")
+        series = series_from_ratios(seq)
+        expect(
+            {
+                "input": {"lambda": seq.to_json()},
+                "series": series.to_json(),
+                "total": format_rational(series.total),
+                "kakeya": kakeya_classify(series),
+            },
+            "series", "--spec", EX1_SPEC,
+        )
+        # the examples table is the command's own; its bytes must still be json.dumps'
+        out, _ = run(capsys, "examples")
+        assert out == _dumps(json.loads(out)) + "\n"

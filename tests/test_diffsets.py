@@ -116,6 +116,20 @@ class TestDiffApproximation:
             diff_approximation(RatioSequence.constant(F(1, 4)), 16, budget=10**6)
         assert exc.value.needed == 3**16
 
+    def test_budget_refuses_any_depth_without_building_the_count(self):
+        quarter = RatioSequence.constant(F(1, 4))
+        with pytest.raises(DepthBudgetError) as exc:
+            diff_approximation(quarter, 64, budget=10)
+        assert exc.value.needed == 3**64
+        # past exponent 64 the count is named by its formula; 3^(10^18) is never built
+        for depth, budget in ((65, 10), (10**18, None), (70, 3**70 - 1)):
+            with pytest.raises(DepthBudgetError, match=rf"needs 3\*\*{depth} intervals") as exc:
+                diff_approximation(quarter, depth, budget=budget)
+            assert exc.value.needed == f"3**{depth}"
+        with pytest.raises(DepthBudgetError) as exc:
+            cantor_approximation(quarter, 10**18)
+        assert exc.value.needed == f"2**{10**18}"
+
 
 class TestGapsAndOverlaps:
     @settings(max_examples=60, deadline=None)

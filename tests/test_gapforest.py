@@ -113,6 +113,9 @@ class TestFamily:
         with pytest.raises(DepthBudgetError) as exc:
             gap_family(EX1, (), 7, budget=3**7 - 2)
         assert exc.value.needed == 3**7 - 1
+        with pytest.raises(DepthBudgetError) as exc:
+            gap_family(EX1, (), 10**9)
+        assert exc.value.needed == f"3**{10**9} - 1"
 
     def test_codes_have_level_length_and_small_tail(self):
         family = gap_family(EX1, (), 3)

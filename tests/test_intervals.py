@@ -218,7 +218,7 @@ class TestLattice:
     def test_to_lattice_inverts_format_scaled(self, values):
         ints, denom = to_lattice(values)
         assert denom == lcm(*(v.denominator for v in values))
-        assert [format_scaled(x, denom) for x in ints] == [format_rational(v) for v in values]
+        assert format_scaled(ints, denom) == [format_rational(v) for v in values]
 
     def test_lattice_invariant_messages(self):
         with pytest.raises(ValueError, match=r"^closed interval needs lo <= hi, got \[1/3, 0\]$"):
