@@ -21,6 +21,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .budget import charge, resolve_budget
@@ -34,7 +35,6 @@ from .diffsets import (
     Code,
     code_str,
     diff_approximation,
-    gap_bounds,
     scaled_gap,
     scaled_interval,
     validate_code,
@@ -405,10 +405,11 @@ def cover_alignment(
     Returns (number of gaps checked, failure descriptions).
     """
     digits = validate_code(root)
+    # the family is charged before the depths up to its level are listed
+    family = gap_family(seq, digits, level, base, budget).level(level)
     ks = small_ratio_indices(seq, base, level + 1)
     kn = ks[level - 1]
     charge(2 * 3 ** (kn - 1 - len(digits)), budget)
-    family = gap_family(seq, digits, level, base, budget).level(level)
     family_keys = {(g.code, g.side) for g in family}
     # twice the offset, 3 d(k) + d(k - 1) with k = ks[level], is whole over the
     # table's denominator; a fractional value would align no gap
@@ -449,15 +450,14 @@ class Check:
 def _family_complement_check(
     seq: RatioSequence, union: IntervalUnion, levels: int, depth: int, budget: int | None
 ) -> Check:
-    """The complement of the depth-k_N approximation, union, must be exactly the
-    family gaps of levels 1..N."""
-    actual = [(g.lo, g.hi) for g in complement_gaps(union, ClosedInterval(Fraction(-1), Fraction(1)))]
+    """The holes in [-1, 1] of the depth-k_N approximation, union, must be exactly
+    the family gaps of levels 1..N, compared over one common denominator."""
     family = gap_family(seq, (), levels, 0, budget)
-    expected = sorted(
-        (b.lo, b.hi)
-        for _, gaps in family.levels
-        for b in (gap_bounds(seq, g) for g in gaps)
-    )
+    denom = lcm(union.denom, family.denom)
+    u, f = denom // union.denom, denom // family.denom
+    holes = zip((-union.denom, *union.his), (*union.los, union.denom))
+    actual = [(lo * u, hi * u) for lo, hi in holes if lo < hi]
+    expected = sorted((lo * f, hi * f) for _, gaps in family.levels for lo, hi in gaps.values())
     ok = actual == expected
     return Check(
         "complement-equals-family",

@@ -48,8 +48,6 @@ from .series import (
     series_from_ratios,
 )
 
-_COMMANDS = ("classify", "measure", "approx", "gaps", "series", "verify", "render", "examples")
-
 _EXAMPLES = (
     {
         "k_rule": "2n",
@@ -180,7 +178,7 @@ def _cmd_gaps(args, budget):
     # the root family starts at level 1
     levels = _depth(args, 3, minimum=1)
     family = gap_family(seq, (), levels, base, budget)
-    payload = family.to_json(seq)
+    payload = family.to_json()
     lines = [f"k0: {base}"]
     for n, gaps in family.levels:
         lines.append(f"level {n}: {len(gaps)} gaps")
@@ -307,43 +305,47 @@ def _cmd_examples(args, budget):
     return {"examples": rows}, "\n".join(lines) + "\n", None, 0
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "measure": _cmd_measure,
-    "approx": _cmd_approx,
-    "gaps": _cmd_gaps,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-    "render": _cmd_render,
-    "examples": _cmd_examples,
+# each command's handler, help and options besides --format and --out, as README's
+# "Flags and limits" lists them
+_COMMANDS = {
+    "classify": (_cmd_classify, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0")),
+    "measure": (_cmd_measure, "exact measure of the difference set", ("spec", "budget", "k0")),
+    "approx": (_cmd_approx, "difference-set approximation at a depth", ("spec", "depth", "budget")),
+    "gaps": (_cmd_gaps, "persistent gap family by level", ("spec", "depth", "budget", "k0")),
+    "series": (_cmd_series, "convert between ratio, series, and doubling-pattern forms", ("spec",)),
+    "verify": (_cmd_verify, "recheck a certificate and its invariants", ("spec", "depth", "budget")),
+    "render": (_cmd_render, "depth-stack picture of the difference set", ("spec", "depth", "budget")),
+    "examples": (_cmd_examples, "reproduce the three bundled examples end to end", ("budget",)),
+}
+_HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
+_OPTIONS = {
+    "spec": (str, "spec file path, or inline JSON starting with '{'"),
+    "depth": (int, "construction depth / family levels"),
+    "budget": (int, "max intervals per enumeration"),
+    "k0": (int, "override the base split index"),
 }
 
-_HELP = {
-    "classify": "decide the trichotomy and emit a certificate",
-    "measure": "exact measure of the difference set",
-    "approx": "difference-set approximation at a depth",
-    "gaps": "persistent gap family by level",
-    "series": "convert between ratio, series, and doubling-pattern forms",
-    "verify": "recheck a certificate and its invariants",
-    "render": "depth-stack picture of the difference set",
-    "examples": "reproduce the three bundled examples end to end",
-}
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one error: line and exits 2
+        raise SpecValidationError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cantorval",
         description="Exact classification and measure of central Cantor set "
         "difference sets, with series and doubling-pattern conversions.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
-        if name != "examples":
-            p.add_argument("--spec", help="spec file path, or inline JSON starting with '{'")
-        p.add_argument("--depth", type=int, help="construction depth / family levels")
-        p.add_argument("--budget", type=int, help="max intervals per enumeration")
-        p.add_argument("--k0", type=int, help="override the base split index")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, (kind, option_help) in _OPTIONS.items():
+            if option in options:
+                p.add_argument(f"--{option}", type=kind, help=option_help)
+            else:
+                # handlers read an option the command does not take as None
+                p.set_defaults(**{option: None})
         p.add_argument(
             "--format",
             choices=("json", "text", "svg"),
@@ -386,11 +388,9 @@ def _emit(args, payload, text: str | None, svg: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "spec", None) is None:
-        args.spec = None
-    args.format = args.format or ("svg" if args.command == "render" else "json")
     try:
+        args = build_parser().parse_args(argv)
+        args.format = args.format or ("svg" if args.command == "render" else "json")
         budget = _resolve_cli_budget(args)
         if args.format == "svg" and args.command != "render":
             raise SpecValidationError("--format svg is only available for render")

@@ -10,9 +10,9 @@ Each sequence caches one exact depth table, extended lazily: d(0..n) as
 Fractions and as integers over their least common denominator. It is the
 only place that multiplies ratios. depth_length, scaled_lengths,
 period_product, the endpoint kernel of diffsets (coded intervals, gaps and
-overlaps, and through it cover_alignment), the series sums of gapforest and
-series_from_ratios all read it; it takes no part in equality, hashing, repr
-or JSON.
+overlaps, and through it gap_family and cover_alignment), the series sums of
+gapforest and series_from_ratios all read it; it takes no part in equality,
+hashing, repr or JSON.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """

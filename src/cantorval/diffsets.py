@@ -20,8 +20,8 @@ The budget still counts the 3^n coded intervals a depth stands for.
 The endpoint formulas live here once, on the integer lattice of the
 sequence's depth table: scaled_interval gives a coded interval's ends and
 scaled_gap the ends of the gap (or, swapped, the overlap) on one side below
-it. diff_interval, gap_at and overlap_at wrap them in Fractions;
-classify.cover_alignment compares their integers directly.
+it. diff_interval, gap_at and overlap_at wrap them in Fractions; gap_family
+and cover_alignment read their integers directly.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 When the ratio sequence drops below 1/3 at infinitely many depths while also
 staying at or above 1/3 infinitely often, the gaps opened at the small-ratio
 depths can survive every later overlap. This module enumerates the recursive
-family of those candidate persistent gaps level by level, computes the two
-extreme codes that bound each level, and sums the family's total length in
-closed form: the terms repeat up to a fixed factor once the sequence enters
-its periodic part, so the series is a finite head plus geometric tails.
+family of those candidate persistent gaps level by level, each gap with its
+ends read once from diffsets.scaled_gap as integers over one denominator,
+computes the two extreme codes that bound each level, and sums the family's
+total length in closed form: the terms repeat up to a fixed factor once the
+sequence enters its periodic part, so the series is a finite head plus
+geometric tails.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Sequence
 
 from .budget import charge_power
 from .construction import THIRD, RatioSequence, depth_length
-from .diffsets import Code, GapRef, code_str, diff_interval, gap_bounds, validate_code
+from .diffsets import Code, GapRef, code_str, diff_interval, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError
-from .rationals import format_rational
+from .rationals import format_scaled
 
 _MIXED_HYPOTHESIS = (
     "the persistent-gap analysis needs ratios below 1/3 at infinitely many depths "
@@ -106,40 +108,35 @@ def extreme_codes(
 
 @dataclass(frozen=True)
 class GapFamily:
-    """Family levels m..N of persistent-gap candidates under one root code."""
+    """Family levels m..N under one root code; each maps its gaps to their ends over denom."""
 
     root: Code
     base: int
-    levels: tuple[tuple[int, frozenset[GapRef]], ...]
+    denom: int
+    levels: tuple[tuple[int, dict[GapRef, tuple[int, int]]], ...]
 
-    def level(self, n: int) -> frozenset[GapRef]:
+    def level(self, n: int) -> dict[GapRef, tuple[int, int]]:
         for lvl, gaps in self.levels:
             if lvl == n:
                 return gaps
         raise KeyError(n)
 
-    def to_json(self, seq: RatioSequence) -> dict:
+    def to_json(self) -> dict:
         levels = {}
         for lvl, gaps in self.levels:
-            rows = []
-            for g in sorted(gaps):
-                bounds = gap_bounds(seq, g)
-                rows.append(
-                    {
-                        "code": code_str(g.code),
-                        "side": g.side,
-                        "lo": format_rational(bounds.lo),
-                        "hi": format_rational(bounds.hi),
-                    }
-                )
-            levels[str(lvl)] = rows
+            refs = sorted(gaps, key=lambda g: (g.code, g.side))
+            ends = format_scaled([x for g in refs for x in gaps[g]], self.denom)
+            levels[str(lvl)] = [
+                {"code": code_str(g.code), "side": g.side, "lo": lo, "hi": hi}
+                for g, lo, hi in zip(refs, ends[0::2], ends[1::2])
+            ]
         return {"root": code_str(self.root), "k0": self.base, "levels": levels}
 
 
 def gap_family(
     seq: RatioSequence, root: Sequence[int], upto: int, base: int = 0, budget: int | None = None
 ) -> GapFamily:
-    """Build family levels m..upto below the root code.
+    """Build family levels m..upto below the root code, each gap with its ends.
 
     Each level starts from the two extreme gaps of its small-ratio depth and
     adds, for every gap of every earlier level, the two gaps that flank the
@@ -153,24 +150,21 @@ def gap_family(
         raise ValueError(f"upto {upto} is below the first family level {m}")
     charge_power(3, upto - m + 1, budget, less=1)
     ks = small_ratio_indices(seq, base, upto)
-    levels: dict[int, frozenset[GapRef]] = {}
+    table = seq.depth_table(ks[-1])
+    levels: dict[int, dict[GapRef, tuple[int, int]]] = {}
     for n in range(m, upto + 1):
         kn = ks[n - 1]
-        gaps = {
-            GapRef(digits + (0,) * (kn - k - 1), 0),
-            GapRef(digits + (2,) * (kn - k - 1), 1),
-        }
+        gaps = [(digits + (0,) * (kn - k - 1), 0), (digits + (2,) * (kn - k - 1), 1)]
         for l in range(m, n):
+            run = kn - ks[l - 1] - 1
             for g in levels[l]:
-                run = kn - ks[l - 1] - 1
-                gaps.add(GapRef(g.code + (g.side + 1,) + (0,) * run, 0))
-                gaps.add(GapRef(g.code + (g.side,) + (2,) * run, 1))
-        levels[n] = frozenset(gaps)
-    return GapFamily(
-        root=digits,
-        base=base,
-        levels=tuple(sorted(levels.items())),
-    )
+                gaps.append((g.code + (g.side + 1,) + (0,) * run, 0))
+                gaps.append((g.code + (g.side,) + (2,) * run, 1))
+        levels[n] = {
+            GapRef(code, side): scaled_gap(table, scaled_interval(table, code)[0], kn - 1, side)
+            for code, side in gaps
+        }
+    return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels.items()))
 
 
 def small_index_series(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import THIRD, RatioSequence
-from .diffsets import diff_approximation, gap_bounds
+from .diffsets import diff_approximation
 from .errors import AssumptionError
 from .gapforest import gap_family, small_ratio_indices, smallest_valid_base
 from .intervals import ClosedInterval, IntervalUnion, OpenInterval
@@ -73,13 +73,11 @@ def _family_gaps_by_level(
         ks = small_ratio_indices(seq, base, count)
     except AssumptionError:
         return {}
-    out: dict[int, list[OpenInterval]] = {}
-    for n, k in enumerate(ks, 1):
-        out[k] = sorted(
-            (gap_bounds(seq, ref) for ref in family.level(n)),
-            key=lambda g: g.lo,
-        )
-    return out
+    d = family.denom
+    return {
+        k: [OpenInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in sorted(family.level(n).values())]
+        for n, k in enumerate(ks, 1)
+    }
 
 
 def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> DepthStack:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from cantorval import (
     AssumptionError,
     Certificate,
     ClosedInterval,
+    DepthBudgetError,
     RatioSequence,
     VERDICT_CANTOR,
     VERDICT_CANTORVAL,
@@ -208,6 +210,12 @@ class TestWitness:
         checked, failures = cover_alignment(EX1_PERTURBED, 1)
         assert checked > 0
         assert failures != []
+
+    def test_alignment_charges_before_listing_depths(self):
+        start = time.monotonic()
+        with pytest.raises(DepthBudgetError):
+            cover_alignment(EX1, 10**8, budget=10)
+        assert time.monotonic() - start < 0.5
 
 
 class TestVerify:

@@ -313,10 +313,24 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot read spec file {spec_file}: ") and err.count("\n") == 1
 
     def test_unknown_command_exits_two(self, capsys):
+        # argparse's own errors, a bad --depth among them, follow the one-line rule
+        for argv, words in (
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["approx", "--spec", SMALL_SPEC, "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+        ):
+            _, err = run(capsys, *argv, expect=2)
+            assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+
+    @pytest.mark.parametrize("argv", [["examples", "--depth", "9"], ["render", "--spec", EX1_SPEC, "--k0", "1"]])
+    def test_option_the_command_ignores_exits_two(self, capsys, argv):
+        _, err = run(capsys, *argv, expect=2)
+        assert err == f"error: cantorval: unrecognized arguments: {' '.join(argv[-2:])}\n"
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+            main(["gaps", "--help"])
+        assert exc.value.code == 0
+        assert "--k0" in capsys.readouterr().out
 
 
 def _json_paths(doc, prefix=()):
@@ -468,7 +482,7 @@ class TestJsonWriter:
         union = diff_approximation(RatioSequence.constant(F(1, 4)), 5)
         approx = {"depth": 5, "count": 243, "measure": format_rational(union.measure), "parts": union.to_json()}
         expect(approx, "approx", "--spec", SMALL_SPEC, "--depth", "5")
-        expect(gap_family(seq, (), 3).to_json(seq), "gaps", "--spec", EX1_SPEC, "--depth", "3")
+        expect(gap_family(seq, (), 3).to_json(), "gaps", "--spec", EX1_SPEC, "--depth", "3")
         cert = classify(seq)
         expect(cert.to_json(), "classify", "--spec", EX1_SPEC)
         checks = [c.to_json() for c in verify_certificate(cert, depth=4)]

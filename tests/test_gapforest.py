@@ -11,11 +11,13 @@ from cantorval import (
     DepthBudgetError,
     GapRef,
     RatioSequence,
+    code_str,
     complement_gaps,
     diff_approximation,
     extreme_codes,
     extreme_limits,
     first_level,
+    format_rational,
     gap_bounds,
     gap_family,
     gap_union_measure,
@@ -42,7 +44,7 @@ from specimens import (
     EX3_MEASURE,
     FULL_TWO_FIFTHS,
 )
-from strategies import ratio_entries
+from strategies import ratio_entries, ratio_sequences
 
 THIRD = F(1, 3)
 
@@ -60,6 +62,17 @@ def mixed_with_base(draw):
     span = len(seq.prefix) + len(seq.period)
     bases = [b for b in range(span) if seq.ratio_at(b + 1) > THIRD]
     return seq, draw(st.sampled_from(bases))
+
+
+@st.composite
+def family_requests(draw):
+    """A mixed sequence, a root at least as long as its smallest valid base, and
+    a family level of at most 4 at or past the root's first level."""
+    seq = draw(ratio_sequences().filter(lambda s: min(s.period) < THIRD < max(s.period)))
+    base = smallest_valid_base(seq)
+    root = tuple(draw(st.lists(st.integers(0, 2), min_size=base, max_size=base + 2)))
+    upto = draw(st.integers(first_level(seq, root, base), 4))
+    return seq, root, upto, base
 
 
 def plain_terms(seq, base, growth, shrink, count):
@@ -149,6 +162,27 @@ class TestFamily:
             actual = [(g.lo, g.hi) for g in complement_gaps(union, hull)]
             assert actual == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(family_requests())
+    def test_levels_carry_the_ends_of_gap_bounds(self, request_):
+        seq, root, upto, base = request_
+        family = gap_family(seq, root, upto, base)
+        rows = {}
+        for n, gaps in family.levels:
+            for ref, ends in gaps.items():
+                bounds = gap_bounds(seq, ref)
+                assert ends == (bounds.lo * family.denom, bounds.hi * family.denom)
+            rows[str(n)] = [
+                {
+                    "code": code_str(ref.code),
+                    "side": ref.side,
+                    "lo": format_rational(gap_bounds(seq, ref).lo),
+                    "hi": format_rational(gap_bounds(seq, ref).hi),
+                }
+                for ref in sorted(gaps)
+            ]
+        assert family.to_json() == {"root": code_str(root), "k0": base, "levels": rows}
+
     def test_first_level_at_deeper_roots(self):
         assert first_level(EX1, ()) == 1
         # a root of length k_1 = 2 starts growing gaps at level 2
@@ -156,7 +190,7 @@ class TestFamily:
 
     def test_to_json_rows_sorted(self):
         family = gap_family(EX1, (), 2)
-        data = family.to_json(EX1)
+        data = family.to_json()
         for level_rows in data["levels"].values():
             los = [F(row["lo"]) for row in level_rows]
             assert los == sorted(los)
