@@ -6,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorval import (
     AssumptionError,
@@ -20,6 +21,7 @@ from cantorval import (
     VERDICT_UNKNOWN,
     cantorval_measure,
     classify,
+    complement_gaps,
     cover_alignment,
     cover_offset,
     cover_witness,
@@ -52,6 +54,7 @@ from specimens import (
     FULL_THIRD,
     FULL_TWO_FIFTHS,
 )
+from strategies import ratio_sequences
 
 MIXED_PREFIXED = RatioSequence(prefix=(F(1, 4),), period=EX1.period)
 
@@ -170,6 +173,15 @@ class TestDepthReport:
     def test_stable_flag_for_finite_union(self):
         rows = depth_report(FINITE, 4)
         assert [row.stable for row in rows] == [False, True, True, True]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratio_sequences(), st.integers(1, 5))
+    def test_gap_counts_match_complement_gaps(self, seq, max_depth):
+        hull = ClosedInterval(F(-1), F(1))
+        for row in depth_report(seq, max_depth):
+            gaps = complement_gaps(diff_approximation(seq, row.depth), hull)
+            assert row.gap_count == len(gaps)
+            assert row.largest_gap == max((g.length for g in gaps), default=F(0))
 
 
 class TestWitness:

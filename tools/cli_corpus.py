@@ -1,0 +1,160 @@
+"""Run a fixed corpus of `cantorval` CLI requests in-process and print one line
+per request: its argv, exit code, and the sha256 of stdout and of stderr.
+
+    python3 tools/cli_corpus.py SRC_DIR
+
+SRC_DIR is the directory that holds the `cantorval` package. Two source trees
+give the same bytes on every request exactly when their outputs are equal:
+
+    diff <(python3 tools/cli_corpus.py OLD/src) <(python3 tools/cli_corpus.py src)
+
+CANTORVAL_BUDGET is removed from the environment first, so only the corpus's
+own --budget flags apply. The corpus is fixed and deterministic; it covers
+every subcommand and format, refusals and parse errors, and `verify` on the
+certificate `classify` gives for each verdict. It takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+
+def _spec(prefix: list[str], period: list[str]) -> str:
+    return json.dumps({"lambda": {"prefix": prefix, "period": period}})
+
+
+SPECS = {
+    "ex1": _spec([], ["7/15", "5/21"]),
+    "ex2": _spec([], ["8/21", "11/24", "7/33"]),
+    "ex3": _spec([], ["25/51", "23/75", "17/69"]),
+    "quarter": _spec([], ["1/4"]),
+    "two-fifths": _spec([], ["2/5"]),
+    "third": _spec([], ["1/3"]),
+    "finite-union": _spec(["1/5"], ["2/5"]),
+    "prefixed": _spec(["2/5"], ["7/15", "5/21"]),
+    "positive-base": _spec(["1/4", "2/5"], ["7/15", "5/21"]),
+    "perturbed": _spec([], ["7/15", "5021/21000"]),
+}
+
+# bad inputs: each must end with one error: line and exit 2, 3 or 4
+REFUSALS = [
+    ["approx", "--spec", SPECS["ex1"], "--depth", "30", "--budget", "10"],
+    ["approx", "--spec", SPECS["quarter"], "--depth", "1000000000", "--budget", "10"],
+    ["gaps", "--spec", SPECS["ex1"], "--depth", "14", "--budget", "1000"],
+    ["render", "--spec", SPECS["quarter"], "--depth", "25"],
+    ["verify", "--spec", "{}", "--depth", "4"],
+    ["approx", "--spec", SPECS["ex1"], "--budget", "0"],
+    ["approx", "--spec", SPECS["ex1"], "--depth", "-1"],
+    ["approx", "--spec", '{"lambda": '],
+    ["approx", "--spec", '{"lambda": {"period": ["0.25"]}}'],
+    ["approx", "--spec", '{"lambda": {"period": ["1/2"]}}'],
+    ["approx", "--spec", '{"lambda": {"period": []}}'],
+    ["approx", "--spec", '{"ratios": ["1/4"]}'],
+    ["approx", "--spec", "no-such-spec.json"],
+    ["approx"],
+    ["approx", "--spec", SPECS["ex1"], "--format", "svg"],
+    ["approx", "--spec", SPECS["ex1"], "--depth", "x"],
+    ["examples", "--depth", "9"],
+    ["render", "--spec", SPECS["ex1"], "--k0", "1"],
+    ["series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "11"}}'],
+    ["series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "01"}, "lambda": {"period": ["1/4"]}}'],
+    ["measure", "--spec", SPECS["ex1"], "--k0", "1"],
+    ["frobnicate"],
+    [],
+    ["gaps", "--help"],
+]
+
+
+def requests() -> list[tuple[str, list[str]]]:
+    """(label, argv) pairs of every request that needs no certificate."""
+    out = []
+
+    def add(*argv: str) -> None:
+        out.append((" ".join(argv), list(argv)))
+
+    for name, spec in SPECS.items():
+        for fmt in ("json", "text"):
+            add("classify", "--spec", spec, "--format", fmt)
+            add("measure", "--spec", spec, "--format", fmt)
+            add("gaps", "--spec", spec, "--depth", "3", "--format", fmt)
+            add("approx", "--spec", spec, "--depth", "5", "--format", fmt)
+            add("series", "--spec", spec, "--format", fmt)
+        for depth in ("0", "3", "7"):
+            add("approx", "--spec", spec, "--depth", depth)
+        add("gaps", "--spec", spec, "--depth", "1")
+        add("gaps", "--spec", spec, "--depth", "6")
+        add("classify", "--spec", spec, "--k0", "0")
+        add("render", "--spec", spec)
+        for depth in ("0", "1", "3", "6", "9"):
+            add("render", "--spec", spec, "--depth", depth, "--format", "text")
+        for depth in ("1", "4"):
+            add("render", "--spec", spec, "--depth", depth, "--format", "json")
+        for depth in ("3", "8"):
+            add("render", "--spec", spec, "--depth", depth, "--format", "svg")
+    for pattern in ('{"prefix_bits": "", "period_bits": "01"}', '{"prefix_bits": "0", "period_bits": "011"}'):
+        for fmt in ("json", "text"):
+            add("series", "--spec", f'{{"k": {pattern}}}', "--format", fmt)
+    series = '{"series": {"prefix": [], "block": ["1", "1"], "ratio": "1/9"}}'
+    add("series", "--spec", series)
+    for fmt in ("json", "text"):
+        add("examples", "--format", fmt)
+    out += [(" ".join(argv) or "(no arguments)", argv) for argv in REFUSALS]
+    return out
+
+
+def run(main, argv: list[str]) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback would break the exit-code table
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def certificate_requests(main) -> list[tuple[str, list[str]]]:
+    """`verify` on the certificate `classify` gives for each spec, and on a
+    tampered copy of each; the label names the certificate instead of printing it."""
+    out = []
+    for name, spec in SPECS.items():
+        code, cert, _ = run(main, ["classify", "--spec", spec])
+        if code != 0:
+            continue
+        tampered = json.loads(cert)
+        tampered["measure"] = "7/5"
+        for depth in ("2", "4", "8"):
+            for fmt in ("json", "text"):
+                argv = ["verify", "--spec", cert, "--depth", depth, "--format", fmt]
+                out.append((f"verify --spec <classify {name}> --depth {depth} --format {fmt}", argv))
+        argv = ["verify", "--spec", json.dumps(tampered), "--depth", "4"]
+        out.append((f"verify --spec <tampered classify {name}> --depth 4", argv))
+    return out
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    os.environ.pop("CANTORVAL_BUDGET", None)
+    # argparse wraps usage and help text to the terminal width
+    os.environ["COLUMNS"] = "80"
+    sys.path.insert(0, os.path.abspath(sys.argv[1]))
+    from cantorval.cli import main as cli_main
+
+    for label, argv in requests() + certificate_requests(cli_main):
+        code, out, err = run(cli_main, argv)
+        digests = [hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (out, err)]
+        print(f"{label}\texit {code}\tstdout {digests[0]}\tstderr {digests[1]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
