@@ -48,7 +48,7 @@ from .gapforest import (
     small_ratio_indices,
     smallest_valid_base,
 )
-from .intervals import ClosedInterval, IntervalUnion, complement_gaps, minkowski_diff
+from .intervals import IntervalUnion, minkowski_diff
 from .rationals import format_rational, parse_rational
 
 VERDICT_FULL = "FullInterval"
@@ -187,22 +187,27 @@ class DepthRow:
         )
 
 
+def _holes(union: IntervalUnion) -> list[tuple[int, int]]:
+    """The open gaps of [-1, 1] minus the union inside it, as (lo, hi) over union.denom."""
+    d = union.denom
+    return [(lo, hi) for lo, hi in zip((-d, *union.his), (*union.los, d)) if lo < hi]
+
+
 def depth_report(
     seq: RatioSequence, max_depth: int, budget: int | None = None
 ) -> tuple[DepthRow, ...]:
     """Empirical per-depth summary of the difference-set approximations."""
-    hull = ClosedInterval(Fraction(-1), Fraction(1))
     rows = []
     previous = None
     for depth in range(1, max_depth + 1):
         union = diff_approximation(seq, depth, budget)
-        gaps = complement_gaps(union, hull)
+        holes = _holes(union)
         rows.append(
             DepthRow(
                 depth=depth,
                 measure=union.measure,
-                gap_count=len(gaps),
-                largest_gap=max((g.length for g in gaps), default=Fraction(0)),
+                gap_count=len(holes),
+                largest_gap=Fraction(max((hi - lo for lo, hi in holes), default=0), union.denom),
                 stable=union == previous,
             )
         )
@@ -455,8 +460,7 @@ def _family_complement_check(
     family = gap_family(seq, (), levels, 0, budget)
     denom = lcm(union.denom, family.denom)
     u, f = denom // union.denom, denom // family.denom
-    holes = zip((-union.denom, *union.his), (*union.los, union.denom))
-    actual = [(lo * u, hi * u) for lo, hi in holes if lo < hi]
+    actual = [(lo * u, hi * u) for lo, hi in _holes(union)]
     expected = sorted((lo * f, hi * f) for _, gaps in family.levels for lo, hi in gaps.values())
     ok = actual == expected
     return Check(
@@ -505,7 +509,7 @@ def verify_certificate(
     if cert.report is not None:
         same("report-matches", fresh.report, cert.report)
 
-    full_hull = IntervalUnion((ClosedInterval(Fraction(-1), Fraction(1)),))
+    full_hull = IntervalUnion.from_lattice((-1,), (1,), 1)
 
     if cert.verdict == VERDICT_FULL:
         ok = all(diff_approximation(seq, d, budget) == full_hull for d in range(1, depth + 1))

@@ -29,7 +29,7 @@ from .construction import RatioSequence
 from .diffsets import diff_approximation
 from .errors import (
     AssumptionError,
-    DepthBudgetError,
+    CantorvalError,
     SpecValidationError,
     VerificationError,
 )
@@ -391,24 +391,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.format = args.format or ("svg" if args.command == "render" else "json")
-        budget = _resolve_cli_budget(args)
+        # series takes no --budget and so reads no CANTORVAL_BUDGET either
+        budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None
         if args.format == "svg" and args.command != "render":
             raise SpecValidationError("--format svg is only available for render")
         payload, text, svg, status = _HANDLERS[args.command](args, budget)
         _emit(args, payload, text, svg)
         return status
-    except SpecValidationError as exc:
+    except CantorvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DepthBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except AssumptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,49 +2,43 @@
 
 One row per depth: the closed parts of the approximation as filled bars,
 with the holes that belong to the persistent gap family marked separately
-from holes that may still close at later depths. All geometry stays exact;
-endpoints are rounded only at the final mapping to character cells or pixel
-coordinates.
+from holes that may still close at later depths. Every end stays an integer
+over its denominator; character cells come from integer division, and floats
+appear only at the final mapping to SVG pixel coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 
 from .construction import THIRD, RatioSequence
 from .diffsets import diff_approximation
 from .errors import AssumptionError
 from .gapforest import gap_family, small_ratio_indices, smallest_valid_base
-from .intervals import ClosedInterval, IntervalUnion, OpenInterval
+from .intervals import IntervalUnion
+from .rationals import format_scaled
 
 
 @dataclass(frozen=True)
 class StackRow:
     depth: int
     union: IntervalUnion
-    family_gaps: tuple[OpenInterval, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "parts": self.union.to_json(),
-            "family_gaps": [
-                [str(g.lo), str(g.hi)] for g in self.family_gaps
-            ],
-        }
+    family_gaps: tuple[tuple[int, int], ...]  # open (lo, hi) over DepthStack.gap_denom, by lo
 
 
 @dataclass(frozen=True)
 class DepthStack:
-    hull: ClosedInterval
+    gap_denom: int
     rows: tuple[StackRow, ...]
 
     def to_json(self) -> dict:
-        return {
-            "hull": [str(self.hull.lo), str(self.hull.hi)],
-            "rows": [row.to_json() for row in self.rows],
-        }
+        rows = []
+        for row in self.rows:
+            ends = format_scaled([x for gap in row.family_gaps for x in gap], self.gap_denom)
+            gaps = [[lo, hi] for lo, hi in zip(ends[0::2], ends[1::2])]
+            rows.append({"depth": row.depth, "parts": row.union.to_json(), "family_gaps": gaps})
+        return {"hull": ["-1", "1"], "rows": rows}
 
 
 def _small_ratio_count(seq: RatioSequence, depth: int) -> int:
@@ -54,67 +48,62 @@ def _small_ratio_count(seq: RatioSequence, depth: int) -> int:
     return sum(r < THIRD for r in head) + periods * sum(r < THIRD for r in seq.period)
 
 
-def _family_gaps_by_level(
-    seq: RatioSequence, depth: int, budget: int | None
-) -> dict[int, list[OpenInterval]]:
-    """Persistent gaps keyed by the depth at which they first open.
+def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> DepthStack:
+    """Difference-set approximations at depths 0..depth, with each row
+    carrying every persistent gap already open at that depth.
 
-    Empty when the sequence has no persistent family under the empty root:
-    its smallest valid base is not 0, or it does not mix both kinds of ratio
-    forever.
+    A row has no family gaps when the sequence has no persistent family under
+    the empty root: its smallest valid base is not 0, or it does not mix both
+    kinds of ratio forever.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    opened_at: dict[int, list[tuple[int, int]]] = {}
+    denom = 1
     try:
         base = smallest_valid_base(seq)
         count = _small_ratio_count(seq, depth) - _small_ratio_count(seq, base)
-        if count <= 0:
-            return {}
-        # the family is charged before its depths are listed
-        family = gap_family(seq, root=(), upto=count, base=base, budget=budget)
-        ks = small_ratio_indices(seq, base, count)
+        if count > 0:
+            # the family is charged before its depths are listed
+            family = gap_family(seq, root=(), upto=count, base=base, budget=budget)
+            ks = small_ratio_indices(seq, base, count)
+            opened_at = {k: sorted(family.level(n).values()) for n, k in enumerate(ks, 1)}
+            denom = family.denom
     except AssumptionError:
-        return {}
-    d = family.denom
-    return {
-        k: [OpenInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in sorted(family.level(n).values())]
-        for n, k in enumerate(ks, 1)
-    }
-
-
-def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> DepthStack:
-    """Difference-set approximations at depths 0..depth, with each row
-    carrying every persistent gap already open at that depth."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    by_level = _family_gaps_by_level(seq, depth, budget)
+        pass
     rows = []
-    opened: list[OpenInterval] = []
+    opened: list[tuple[int, int]] = []
     for n in range(depth + 1):
         union = diff_approximation(seq, n, budget)
-        opened.extend(by_level.get(n, []))
-        opened.sort(key=lambda g: g.lo)
+        opened.extend(opened_at.get(n, ()))
+        opened.sort(key=itemgetter(0))
         rows.append(StackRow(depth=n, union=union, family_gaps=tuple(opened)))
-    return DepthStack(hull=ClosedInterval(Fraction(-1), Fraction(1)), rows=tuple(rows))
+    return DepthStack(gap_denom=denom, rows=tuple(rows))
 
 
 def ascii_depth_stack(stack: DepthStack, width: int = 64) -> str:
-    """Character-cell view: '#' covered, '=' persistent gap, '.' other hole."""
+    """Character-cell view: '#' covered, '=' persistent gap, '.' other hole.
+
+    Cell j is the open interval (-1 + 2j/width, -1 + 2(j+1)/width), so a closed
+    part or open gap (lo, hi) over denom meets cells floor(t(lo)) to ceil(t(hi)) - 1
+    of t(x) = (x/denom + 1) * width/2.
+    """
     if width < 2:
         raise ValueError("width must be >= 2")
-    lo, hi = stack.hull.lo, stack.hull.hi
-    span = hi - lo
     lines = ["legend: # closed part   = persistent gap   . hole"]
     for row in stack.rows:
-        cells = []
-        for j in range(width):
-            cell_lo = lo + span * Fraction(j, width)
-            cell_hi = lo + span * Fraction(j + 1, width)
-            if row.union.intersects_open(cell_lo, cell_hi):
-                cells.append("#")
-            elif any(g.lo < cell_hi and cell_lo < g.hi for g in row.family_gaps):
-                cells.append("=")
-            else:
-                cells.append(".")
-        lines.append(f"{row.depth:>3} |{''.join(cells)}|")
+        cells = bytearray(b"." * width)
+        # parts are painted last: a cell a part meets is '#' whatever else meets it
+        marks = (
+            (b"=", row.family_gaps, stack.gap_denom),
+            (b"#", zip(row.union.los, row.union.his), row.union.denom),
+        )
+        for mark, pairs, denom in marks:
+            for lo, hi in pairs:
+                first = (lo + denom) * width // (2 * denom)
+                stop = -(-(hi + denom) * width // (2 * denom))
+                cells[first:stop] = mark * (stop - first)
+        lines.append(f"{row.depth:>3} |{cells.decode()}|")
     return "\n".join(lines) + "\n"
 
 
@@ -131,10 +120,10 @@ def svg_depth_stack(stack: DepthStack, width: int = 800, row_height: int = 22) -
     if inner < 10:
         raise ValueError("width too small")
     height = pad_top * 2 + row_height * len(stack.rows)
-    lo, span = stack.hull.lo, stack.hull.hi - stack.hull.lo
 
-    def x_px(value: Fraction) -> float:
-        return round(pad_left + float((value - lo) / span) * inner, 2)
+    def x_px(value: int, denom: int) -> float:
+        # an int/int division is correctly rounded, so this is float of the exact (value/denom + 1)/2
+        return round(pad_left + (value + denom) / (2 * denom) * inner, 2)
 
     bar = row_height - 8
     lines = [
@@ -150,16 +139,14 @@ def svg_depth_stack(stack: DepthStack, width: int = 800, row_height: int = 22) -
         lines.append(
             f'<rect class="track" x="{pad_left}" y="{y}" width="{inner}" height="{bar}"/>'
         )
-        for part in row.union.parts:
-            x0, x1 = x_px(part.lo), x_px(part.hi)
-            w = max(round(x1 - x0, 2), 0.5)
-            lines.append(f'<rect class="part" x="{x0}" y="{y}" width="{w}" height="{bar}"/>')
-        for gap in row.family_gaps:
-            x0, x1 = x_px(gap.lo), x_px(gap.hi)
-            w = max(round(x1 - x0, 2), 0.5)
-            gy = y + bar // 3
-            lines.append(
-                f'<rect class="gap" x="{x0}" y="{gy}" width="{w}" height="{bar - 2 * (bar // 3)}"/>'
-            )
+        union = row.union
+        for kind, pairs, denom, top, tall in (
+            ("part", zip(union.los, union.his), union.denom, y, bar),
+            ("gap", row.family_gaps, stack.gap_denom, y + bar // 3, bar - 2 * (bar // 3)),
+        ):
+            for lo, hi in pairs:
+                x0, x1 = x_px(lo, denom), x_px(hi, denom)
+                w = max(round(x1 - x0, 2), 0.5)
+                lines.append(f'<rect class="{kind}" x="{x0}" y="{top}" width="{w}" height="{tall}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

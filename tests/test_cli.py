@@ -231,6 +231,13 @@ class TestExitCodes:
         monkeypatch.setenv("CANTORVAL_BUDGET", "not-a-number")
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "2", expect=2)
 
+    def test_series_ignores_budget_env(self, capsys, monkeypatch):
+        # series takes no --budget, so the environment variable is not read for it
+        monkeypatch.setenv("CANTORVAL_BUDGET", "x")
+        run(capsys, "series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "01"}}')
+        _, err = run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "2", expect=2)
+        assert err == "error: CANTORVAL_BUDGET must be an integer, got 'x'\n"
+
     def test_gap_family_over_budget(self, capsys):
         _, err = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "14", "--budget", "1000", expect=4)
         assert err.startswith("error: ") and err.count("\n") == 1
