@@ -45,6 +45,7 @@ from .gapforest import (
     gap_union_measure,
     gap_union_partial,
     require_base,
+    small_ratio_count,
     small_ratio_indices,
     smallest_valid_base,
 )
@@ -95,7 +96,7 @@ class ResidualEntry:
     def from_json(cls, data: dict) -> "ResidualEntry":
         return cls(
             _json_entry(data, "index", "residual", int),
-            str(_json_entry(data, "case", "residual")),
+            _json_entry(data, "case", "residual", str),
             parse_rational(_json_entry(data, "value", "residual")),
         )
 
@@ -183,7 +184,7 @@ class DepthRow:
             parse_rational(_json_entry(data, "measure", "report row")),
             _json_entry(data, "gap_count", "report row", int),
             parse_rational(_json_entry(data, "largest_gap", "report row")),
-            bool(_json_entry(data, "stable", "report row")),
+            _json_entry(data, "stable", "report row", bool),
         )
 
 
@@ -261,6 +262,9 @@ class Certificate:
 
         measure, union = optional("measure"), optional("union")
         residuals, report = optional("residuals", list), optional("report", list)
+        stable_depth = optional("stable_depth", int)
+        if stable_depth is not None and stable_depth < 0:
+            raise SpecValidationError(f"certificate stable_depth must be >= 0, got {stable_depth}")
         return cls(
             sequence=seq,
             verdict=data["verdict"],
@@ -268,7 +272,7 @@ class Certificate:
             measure=None if measure is None else parse_rational(measure),
             base=optional("k0", int),
             residuals=None if residuals is None else tuple(map(ResidualEntry.from_json, residuals)),
-            stable_depth=optional("stable_depth", int),
+            stable_depth=stable_depth,
             union=None if union is None else IntervalUnion.from_json(union),
             report=None if report is None else tuple(map(DepthRow.from_json, report)),
         )
@@ -415,12 +419,10 @@ def cover_alignment(
     ks = small_ratio_indices(seq, base, level + 1)
     kn = ks[level - 1]
     charge(2 * 3 ** (kn - 1 - len(digits)), budget)
-    family_keys = {(g.code, g.side) for g in family}
-    # twice the offset, 3 d(k) + d(k - 1) with k = ks[level], is whole over the
-    # table's denominator; a fractional value would align no gap
-    table = seq.depth_table(ks[level])
-    twice_offset = 2 * cover_offset(seq, level + 1, base) * table.denom
-    twice_offset = twice_offset.numerator if twice_offset.denominator == 1 else None
+    # twice the next level's cover offset, 3 d(k) + d(k - 1), over the table's denominator
+    k = ks[level]
+    table = seq.depth_table(k)
+    twice_offset = 3 * table.ints[k] + table.ints[k - 1]
 
     checked = 0
     failures: list[str] = []
@@ -428,7 +430,7 @@ def cover_alignment(
         code = digits + tail
         left, _ = scaled_interval(table, code)
         for side in (0, 1):
-            if (code, side) in family_keys:
+            if (code, side) in family:
                 continue
             checked += 1
             witness = _witness_digits(code, side, ks, len(digits))
@@ -542,9 +544,9 @@ def verify_certificate(
                 Check("closed-form-measure", total == cert.measure, f"recomputed {total}")
             )
             # level c, the budget's bit length, has k_c >= c: its fold of 3^k_c > budget is refused
-            ks = small_ratio_indices(seq, 0, min(depth, resolve_budget(budget).bit_length()))
-            reachable = [n for n, kn in enumerate(ks, 1) if kn <= depth]
-            for n in reachable:
+            levels = min(small_ratio_count(seq, depth), resolve_budget(budget).bit_length())
+            ks = small_ratio_indices(seq, 0, levels)
+            for n in range(1, levels + 1):
                 partial, _ = gap_union_partial(seq, n)
                 union = diff_approximation(seq, ks[n - 1], budget)
                 checks.append(
@@ -554,10 +556,9 @@ def verify_certificate(
                         f"depth {ks[n - 1]}: {union.measure} vs {2 - partial}",
                     )
                 )
-            if reachable:
+            if levels:
                 # the last level's union is the deepest approximation; fold it once
-                n = reachable[-1]
-                checks.append(_family_complement_check(seq, union, n, ks[n - 1], budget))
+                checks.append(_family_complement_check(seq, union, levels, ks[-1], budget))
 
     oracle_depth = min(depth, 7)
     points = cantor_approximation(seq, oracle_depth, budget)

@@ -21,12 +21,12 @@ The endpoint formulas live here once, on the integer lattice of the
 sequence's depth table: scaled_interval gives a coded interval's ends and
 scaled_gap the ends of the gap (or, swapped, the overlap) on one side below
 it. diff_interval, gap_at and overlap_at wrap them in Fractions; gap_family
-and cover_alignment read their integers directly.
+and cover_alignment read their integers directly. A gap is named by the plain
+pair (code, side): the code it opens under and its side, 0 left or 1 right.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -48,25 +48,6 @@ def validate_code(code: Sequence[int]) -> Code:
 
 def code_str(code: Sequence[int]) -> str:
     return "".join(str(d) for d in code)
-
-
-def parse_code(text: str) -> Code:
-    if not all(c in "012" for c in text):
-        raise ValueError(f"ternary code string must use digits 012: {text!r}")
-    return tuple(int(c) for c in text)
-
-
-@dataclass(frozen=True, order=True)
-class GapRef:
-    """Identifier of one gap: the code it opens under and which side (0 left, 1 right)."""
-
-    code: Code
-    side: int
-
-    def __post_init__(self):
-        validate_code(self.code)
-        if self.side not in (0, 1):
-            raise ValueError(f"gap side must be 0 or 1, got {self.side}")
 
 
 def scaled_interval(table: DepthTable, digits: Code) -> tuple[int, int]:
@@ -130,8 +111,9 @@ def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> OpenInterval:
     return OpenInterval(Fraction(lo, denom), Fraction(hi, denom))
 
 
-def gap_bounds(seq: RatioSequence, ref: GapRef) -> OpenInterval:
-    return gap_at(seq, ref.code, ref.side)
+def gap_bounds(seq: RatioSequence, ref: tuple[Sequence[int], int]) -> OpenInterval:
+    """The gap named by its (code, side) pair, as the gap family keys it."""
+    return gap_at(seq, *ref)
 
 
 def overlap_at(seq: RatioSequence, code: Sequence[int], side: int) -> ClosedInterval:

@@ -3,12 +3,12 @@
 When the ratio sequence drops below 1/3 at infinitely many depths while also
 staying at or above 1/3 infinitely often, the gaps opened at the small-ratio
 depths can survive every later overlap. This module enumerates the recursive
-family of those candidate persistent gaps level by level, each gap with its
-ends read once from diffsets.scaled_gap as integers over one denominator,
-computes the two extreme codes that bound each level, and sums the family's
-total length in closed form: the terms repeat up to a fixed factor once the
-sequence enters its periodic part, so the series is a finite head plus
-geometric tails.
+family of those candidate persistent gaps level by level, each gap named by
+its (code, side) pair and its ends read once from diffsets.scaled_gap as
+integers over one denominator, computes the two extreme codes that bound each
+level, and sums the family's total length in closed form: the terms repeat up
+to a fixed factor once the sequence enters its periodic part, so the series
+is a finite head plus geometric tails.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .budget import charge_power
 from .construction import THIRD, RatioSequence, depth_length
-from .diffsets import Code, GapRef, code_str, diff_interval, scaled_gap, scaled_interval, validate_code
+from .diffsets import Code, code_str, diff_interval, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError
 from .rationals import format_scaled
 
@@ -73,6 +73,13 @@ def small_ratio_indices(seq: RatioSequence, base: int, count: int) -> list[int]:
     return out
 
 
+def small_ratio_count(seq: RatioSequence, depth: int) -> int:
+    """How many of depths 1..depth have a ratio below 1/3, counted per period."""
+    periods, rest = divmod(max(depth - len(seq.prefix), 0), len(seq.period))
+    head = (*seq.prefix[:depth], *seq.period[:rest])
+    return sum(r < THIRD for r in head) + periods * sum(r < THIRD for r in seq.period)
+
+
 def first_level(seq: RatioSequence, root: Sequence[int], base: int = 0) -> int:
     """Level m of the first family generation under the root code."""
     digits = validate_code(root)
@@ -108,14 +115,15 @@ def extreme_codes(
 
 @dataclass(frozen=True)
 class GapFamily:
-    """Family levels m..N under one root code; each maps its gaps to their ends over denom."""
+    """Family levels m..N under one root code; each maps its gaps, named by
+    (code, side) pairs, to their ends over denom."""
 
     root: Code
     base: int
     denom: int
-    levels: tuple[tuple[int, dict[GapRef, tuple[int, int]]], ...]
+    levels: tuple[tuple[int, dict[tuple[Code, int], tuple[int, int]]], ...]
 
-    def level(self, n: int) -> dict[GapRef, tuple[int, int]]:
+    def level(self, n: int) -> dict[tuple[Code, int], tuple[int, int]]:
         for lvl, gaps in self.levels:
             if lvl == n:
                 return gaps
@@ -124,11 +132,11 @@ class GapFamily:
     def to_json(self) -> dict:
         levels = {}
         for lvl, gaps in self.levels:
-            refs = sorted(gaps, key=lambda g: (g.code, g.side))
+            refs = sorted(gaps)
             ends = format_scaled([x for g in refs for x in gaps[g]], self.denom)
             levels[str(lvl)] = [
-                {"code": code_str(g.code), "side": g.side, "lo": lo, "hi": hi}
-                for g, lo, hi in zip(refs, ends[0::2], ends[1::2])
+                {"code": code_str(code), "side": side, "lo": lo, "hi": hi}
+                for (code, side), lo, hi in zip(refs, ends[0::2], ends[1::2])
             ]
         return {"root": code_str(self.root), "k0": self.base, "levels": levels}
 
@@ -151,17 +159,17 @@ def gap_family(
     charge_power(3, upto - m + 1, budget, less=1)
     ks = small_ratio_indices(seq, base, upto)
     table = seq.depth_table(ks[-1])
-    levels: dict[int, dict[GapRef, tuple[int, int]]] = {}
+    levels: dict[int, dict[tuple[Code, int], tuple[int, int]]] = {}
     for n in range(m, upto + 1):
         kn = ks[n - 1]
         gaps = [(digits + (0,) * (kn - k - 1), 0), (digits + (2,) * (kn - k - 1), 1)]
         for l in range(m, n):
             run = kn - ks[l - 1] - 1
-            for g in levels[l]:
-                gaps.append((g.code + (g.side + 1,) + (0,) * run, 0))
-                gaps.append((g.code + (g.side,) + (2,) * run, 1))
+            for code, side in levels[l]:
+                gaps.append((code + (side + 1,) + (0,) * run, 0))
+                gaps.append((code + (side,) + (2,) * run, 1))
         levels[n] = {
-            GapRef(code, side): scaled_gap(table, scaled_interval(table, code)[0], kn - 1, side)
+            (code, side): scaled_gap(table, scaled_interval(table, code)[0], kn - 1, side)
             for code, side in gaps
         }
     return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels.items()))

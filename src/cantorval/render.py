@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .construction import THIRD, RatioSequence
+from .construction import RatioSequence
 from .diffsets import diff_approximation
 from .errors import AssumptionError
-from .gapforest import gap_family, small_ratio_indices, smallest_valid_base
+from .gapforest import gap_family, small_ratio_count, small_ratio_indices, smallest_valid_base
 from .intervals import IntervalUnion
 from .rationals import format_scaled
 
@@ -41,13 +41,6 @@ class DepthStack:
         return {"hull": ["-1", "1"], "rows": rows}
 
 
-def _small_ratio_count(seq: RatioSequence, depth: int) -> int:
-    """How many of depths 1..depth have a ratio below 1/3, counted per period."""
-    periods, rest = divmod(max(depth - len(seq.prefix), 0), len(seq.period))
-    head = (*seq.prefix[:depth], *seq.period[:rest])
-    return sum(r < THIRD for r in head) + periods * sum(r < THIRD for r in seq.period)
-
-
 def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> DepthStack:
     """Difference-set approximations at depths 0..depth, with each row
     carrying every persistent gap already open at that depth.
@@ -62,7 +55,7 @@ def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> De
     denom = 1
     try:
         base = smallest_valid_base(seq)
-        count = _small_ratio_count(seq, depth) - _small_ratio_count(seq, base)
+        count = small_ratio_count(seq, depth) - small_ratio_count(seq, base)
         if count > 0:
             # the family is charged before its depths are listed
             family = gap_family(seq, root=(), upto=count, base=base, budget=budget)
@@ -113,12 +106,10 @@ _SVG_STYLE = (
 )
 
 
-def svg_depth_stack(stack: DepthStack, width: int = 800, row_height: int = 22) -> str:
-    """Self-contained SVG: one row of rectangles per depth."""
-    pad_left, pad_right, pad_top = 40, 12, 10
+def svg_depth_stack(stack: DepthStack) -> str:
+    """Self-contained SVG, 800 pixels wide: one 22-pixel row of rectangles per depth."""
+    width, row_height, pad_left, pad_right, pad_top = 800, 22, 40, 12, 10
     inner = width - pad_left - pad_right
-    if inner < 10:
-        raise ValueError("width too small")
     height = pad_top * 2 + row_height * len(stack.rows)
 
     def x_px(value: int, denom: int) -> float:

@@ -79,10 +79,7 @@ class MultigeometricSeries:
         """Sum of all terms past index n."""
         if n < 0:
             raise ValueError("remainder index must be >= 0")
-        out = self.total
-        for j in range(1, n + 1):
-            out -= self.term(j)
-        return out
+        return _remainders(self, n)[n]
 
     def to_json(self) -> dict:
         return {
@@ -119,6 +116,14 @@ def series_from_ratios(seq: RatioSequence) -> MultigeometricSeries:
     )
 
 
+def _remainders(series: MultigeometricSeries, n: int) -> list[Fraction]:
+    """remainder(0), ..., remainder(n), by running subtraction of the terms."""
+    out = [series.total]
+    for j in range(1, n + 1):
+        out.append(out[-1] - series.term(j))
+    return out
+
+
 def is_fast_convergent(series: MultigeometricSeries) -> bool:
     """True when every term strictly exceeds the sum of all later terms.
 
@@ -126,7 +131,8 @@ def is_fast_convergent(series: MultigeometricSeries) -> bool:
     of the comparison scale by the ratio from one block to the next.
     """
     span = len(series.prefix) + len(series.block)
-    return all(series.term(j) > series.remainder(j) for j in range(1, span + 1))
+    remainders = _remainders(series, span)
+    return all(series.term(j) > remainders[j] for j in range(1, span + 1))
 
 
 def ratios_from_series(series: MultigeometricSeries) -> RatioSequence:
@@ -137,7 +143,7 @@ def ratios_from_series(series: MultigeometricSeries) -> RatioSequence:
             "(every term strictly exceeding the sum of all later terms)"
         )
     span = len(series.prefix) + len(series.block)
-    remainders = [series.remainder(n) for n in range(span + 1)]
+    remainders = _remainders(series, span)
     ratios = [remainders[j] / remainders[j - 1] for j in range(1, span + 1)]
     return RatioSequence(
         prefix=tuple(ratios[: len(series.prefix)]),
@@ -156,7 +162,8 @@ def kakeya_classify(series: MultigeometricSeries) -> str:
         return "CantorSet"
     lo = len(series.prefix) + 1
     hi = len(series.prefix) + len(series.block)
-    if all(series.term(j) <= series.remainder(j) for j in range(lo, hi + 1)):
+    remainders = _remainders(series, hi)
+    if all(series.term(j) <= remainders[j] for j in range(lo, hi + 1)):
         return "FiniteIntervalUnion"
     return "Inconclusive"
 

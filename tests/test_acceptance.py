@@ -15,7 +15,6 @@ import pytest
 from cantorval import (
     AssumptionError,
     DoublingPattern,
-    GapRef,
     RatioSequence,
     cantor_approximation,
     classify,
@@ -177,7 +176,7 @@ def test_criterion_06_gap_forest(capsys):
                 assert a.hi < b.lo
             spread += depth_length(EX1, ks[n - 1] - 1) - depth_length(EX1, ks[n - 1])
             left_code, right_code = extreme_codes(EX1, (), n)
-            left, right = GapRef(left_code, 0), GapRef(right_code, 1)
+            left, right = (left_code, 0), (right_code, 1)
             assert left in family.level(n) and right in family.level(n)
             assert gap_bounds(EX1, left).hi == -1 + spread
             assert gap_bounds(EX1, right).lo == 1 - spread

@@ -29,6 +29,7 @@ SMALL_SPEC = '{"lambda": {"prefix": [], "period": ["1/4"]}}'
 FULL_SPEC = '{"lambda": {"prefix": [], "period": ["2/5"]}}'
 FINITE_SPEC = '{"lambda": {"prefix": ["1/5"], "period": ["2/5"]}}'
 POSITIVE_BASE_SPEC = '{"lambda": {"prefix": ["1/4", "2/5"], "period": ["7/15", "5/21"]}}'
+UNKNOWN_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5021/21000"]}}'
 
 
 def run(capsys, *argv, expect=0):
@@ -121,6 +122,13 @@ class TestGapsAndSeries:
         assert data["measure"] == "8/5"
         assert data["difference_measure"] == "3"
         assert data["multigeometric"]["epsilons"] == [1, 2]
+
+    def test_series_from_long_pattern_prefix(self, capsys):
+        # the remainders come from one running subtraction, not one sum per position
+        spec = json.dumps({"k": {"prefix_bits": "0" * 1000, "period_bits": "01"}})
+        start = time.perf_counter()
+        run(capsys, "series", "--spec", spec)
+        assert time.perf_counter() - start < 5.0
 
     def test_series_needs_exactly_one_kind(self, capsys):
         run(capsys, "series", "--spec", '{"lambda": {}, "series": {}}', expect=2)
@@ -263,6 +271,25 @@ class TestExitCodes:
     def test_certificate_stable_depth_must_be_an_integer(self, capsys, tmp_path):
         err = self.verify_tampered(capsys, tmp_path, lambda d: d.update(stable_depth=2.5))
         assert "stable_depth must be of type int" in err
+
+    def test_certificate_stable_depth_must_not_be_negative(self, capsys, tmp_path):
+        tamper = lambda d: d.update(stable_depth=-1)
+        err = self.verify_tampered(capsys, tmp_path, tamper, spec=FINITE_SPEC)
+        assert "stable_depth must be >= 0" in err
+
+    @pytest.mark.parametrize("stable", ["false", 1, [0]], ids=["string", "int", "list"])
+    def test_certificate_report_stable_must_be_a_bool(self, capsys, tmp_path, stable):
+        def tamper(data):
+            row = data["report"][2]
+            assert data["verdict"] == "Unknown" and row["stable"] is True
+            row["stable"] = stable
+
+        err = self.verify_tampered(capsys, tmp_path, tamper, spec=UNKNOWN_SPEC)
+        assert "report row stable must be of type bool" in err
+
+    def test_certificate_residual_case_must_be_a_string(self, capsys, tmp_path):
+        err = self.verify_tampered(capsys, tmp_path, lambda d: d["residuals"][0].update(case=5))
+        assert "residual case must be of type str" in err
 
     @pytest.mark.parametrize(
         "union, words",

@@ -10,7 +10,6 @@ from cantorval import (
     AssumptionError,
     ClosedInterval,
     DepthBudgetError,
-    GapRef,
     RatioSequence,
     cantor_approximation,
     code_str,
@@ -24,7 +23,6 @@ from cantorval import (
     minkowski_diff,
     normalize,
     overlap_at,
-    parse_code,
 )
 from cantorval.construction import THIRD
 from cantorval.diffsets import validate_code
@@ -50,12 +48,12 @@ class TestCodes:
             validate_code((-1,))
 
     def test_code_str_round_trip(self):
-        assert parse_code("0212") == (0, 2, 1, 2)
         assert code_str((0, 2, 1, 2)) == "0212"
 
-    def test_gap_ref_side(self):
+    @pytest.mark.parametrize("ref", [((0,), 2), ((3,), 0)], ids=["side-2", "digit-3"])
+    def test_gap_bounds_rejects_bad_ref(self, ref):
         with pytest.raises(ValueError):
-            GapRef(code=(0,), side=2)
+            gap_bounds(EX1, ref)
 
 
 class TestDiffIntervals:
@@ -168,8 +166,7 @@ class TestGapsAndOverlaps:
         assert not diff_approximation(EX1, 5).intersects_open(g.lo, g.hi)
 
     def test_gap_bounds_matches_gap_at(self):
-        ref = GapRef(code=(0,), side=0)
-        assert gap_bounds(EX1, ref) == gap_at(EX1, (0,), 0)
+        assert gap_bounds(EX1, ((0,), 0)) == gap_at(EX1, (0,), 0)
 
     def test_gap_needs_small_ratio(self):
         # depth 1 ratio is 7/15 >= 1/3: no gap opens there

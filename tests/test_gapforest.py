@@ -9,7 +9,6 @@ from cantorval import (
     AssumptionError,
     ClosedInterval,
     DepthBudgetError,
-    GapRef,
     RatioSequence,
     code_str,
     complement_gaps,
@@ -26,6 +25,7 @@ from cantorval import (
     small_ratio_indices,
     smallest_valid_base,
 )
+from cantorval.gapforest import small_ratio_count
 from specimens import (
     CANTOR_SMALL,
     EX1,
@@ -112,6 +112,12 @@ class TestBaseAndIndices:
         assert small_ratio_indices(EX2, 0, 4) == [3, 6, 9, 12]
         assert small_ratio_indices(EX3, 0, 6) == [2, 3, 5, 6, 8, 9]
 
+    @settings(max_examples=100, deadline=None)
+    @given(ratio_sequences(), st.integers(0, 60))
+    def test_small_ratio_count_counts_ratios_below_a_third(self, seq, depth):
+        direct = sum(seq.ratio_at(j) < THIRD for j in range(1, depth + 1))
+        assert small_ratio_count(seq, depth) == direct
+
 
 class TestFamily:
     def test_level_sizes(self):
@@ -133,9 +139,9 @@ class TestFamily:
     def test_codes_have_level_length_and_small_tail(self):
         family = gap_family(EX1, (), 3)
         for n in (1, 2, 3):
-            for ref in family.level(n):
-                assert len(ref.code) == EX1_K[n] - 1
-                assert ref.side in (0, 1)
+            for code, side in family.level(n):
+                assert len(code) == EX1_K[n] - 1
+                assert side in (0, 1)
 
     def test_gaps_strictly_separated_and_persistent(self):
         family = gap_family(EX1, (), 3)
@@ -174,8 +180,8 @@ class TestFamily:
                 assert ends == (bounds.lo * family.denom, bounds.hi * family.denom)
             rows[str(n)] = [
                 {
-                    "code": code_str(ref.code),
-                    "side": ref.side,
+                    "code": code_str(ref[0]),
+                    "side": ref[1],
                     "lo": format_rational(gap_bounds(seq, ref).lo),
                     "hi": format_rational(gap_bounds(seq, ref).hi),
                 }
@@ -205,7 +211,7 @@ class TestExtremes:
         family = gap_family(EX1, (), 2)
         for n in (1, 2):
             left_code, right_code = extreme_codes(EX1, (), n)
-            left, right = GapRef(left_code, 0), GapRef(right_code, 1)
+            left, right = (left_code, 0), (right_code, 1)
             assert left in family.level(n) and right in family.level(n)
             assert gap_bounds(EX1, left).hi == EX1_EXTREME_RIGHT[n]
             assert gap_bounds(EX1, right).lo == EX1_EXTREME_LEFT[n]
