@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -51,6 +50,7 @@ from .gapforest import (
 )
 from .intervals import IntervalUnion, minkowski_diff
 from .rationals import format_rational, parse_rational
+from .records import Record
 
 VERDICT_FULL = "FullInterval"
 VERDICT_FINITE = "FiniteIntervalUnion"
@@ -81,8 +81,7 @@ def _json_entry(data, key: str, label: str, kind: type = object):
     return _json_value(data[key], kind, f"{label} {key}")
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
+class ResidualEntry(Record):
     """Exact lhs - rhs of the cover equation linking ratios at index and index+1."""
 
     index: int
@@ -160,8 +159,7 @@ def cantorval_measure(seq: RatioSequence) -> Fraction:
     return 2 - gap_union_measure(seq)
 
 
-@dataclass(frozen=True)
-class DepthRow:
+class DepthRow(Record):
     depth: int
     measure: Fraction
     gap_count: int
@@ -216,8 +214,7 @@ def depth_report(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Self-contained classification result; carries everything needed to re-verify."""
 
     sequence: RatioSequence
@@ -444,8 +441,7 @@ def cover_alignment(
     return checked, failures
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     passed: bool
     detail: str = ""

@@ -178,7 +178,8 @@ def _cmd_gaps(args, budget):
     # the root family starts at level 1
     levels = _depth(args, 3, minimum=1)
     family = gap_family(seq, (), levels, base, budget)
-    payload = family.to_json()
+    # the text body prints counts only, so the rows are built for JSON alone
+    payload = family.to_json() if args.format == "json" else None
     lines = [f"k0: {base}"]
     for n, gaps in family.levels:
         lines.append(f"level {n}: {len(gaps)} gaps")
@@ -331,7 +332,10 @@ class _Parser(argparse.ArgumentParser):
         raise SpecValidationError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser. Given a command's name, it builds that command's
+    subparser alone, which parses every argv that starts with the name the
+    same way."""
     parser = _Parser(
         prog="cantorval",
         description="Exact classification and measure of central Cantor set "
@@ -339,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, help_text, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         for option, (kind, option_help) in _OPTIONS.items():
             if option in options:
@@ -389,7 +395,9 @@ def _emit(args, payload, text: str | None, svg: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # help and a missing or unknown command list every command
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         args.format = args.format or ("svg" if args.command == "render" else "json")
         # series takes no --budget and so reads no CANTORVAL_BUDGET either
         budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None

@@ -19,7 +19,6 @@ Everything is a pure function of (sequence, depth); all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -28,6 +27,7 @@ from .budget import charge_power
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
 from .rationals import format_rational, parse_rational_list, to_lattice
+from .records import Record
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -51,8 +51,8 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
 class DepthTable:
     """Exact depth lengths of one sequence: lengths[r] == d(r) == ints[r] / denom,
     so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r], the scaled
-    weight of digit r. Never mutated; a plain class because a dataclass would
-    cost every CLI run a millisecond."""
+    weight of digit r. Never mutated, yet not a records.Record: it is the
+    sequence's cache, which nothing builds from fields, compares or prints."""
 
     __slots__ = ("lengths", "ints", "denom", "drops")
 
@@ -61,13 +61,13 @@ class DepthTable:
         self.drops = tuple(a - b for a, b in zip(ints, ints[1:]))
 
 
-@dataclass(frozen=True)
-class RatioSequence:
-    """Eventually periodic ratio sequence: finite prefix, then a repeating period."""
+class RatioSequence(Record):
+    """Eventually periodic ratio sequence: finite prefix, then a repeating period.
+
+    The depth table cached in _depths is not a field."""
 
     prefix: tuple[Fraction, ...] = ()
     period: tuple[Fraction, ...] = ()
-    _depths: DepthTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _coerce_entries("prefix", self.prefix))

@@ -14,7 +14,6 @@ is a finite head plus geometric tails.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,6 +22,7 @@ from .construction import THIRD, RatioSequence, depth_length
 from .diffsets import Code, code_str, diff_interval, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError
 from .rationals import format_scaled
+from .records import Record
 
 _MIXED_HYPOTHESIS = (
     "the persistent-gap analysis needs ratios below 1/3 at infinitely many depths "
@@ -113,8 +113,7 @@ def extreme_codes(
     return tuple(left), tuple(right)
 
 
-@dataclass(frozen=True)
-class GapFamily:
+class GapFamily(Record):
     """Family levels m..N under one root code; each maps its gaps, named by
     (code, side) pairs, to their ends over denom."""
 

@@ -16,7 +16,6 @@ and the Minkowski products share one integer sort-merge instead.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import le, lt
@@ -24,20 +23,38 @@ from typing import Iterable, Sequence
 
 from .errors import SpecValidationError
 from .rationals import format_scaled, parse_rational, to_lattice
+from .records import Record
 
 
-@dataclass(frozen=True, order=True)
-class ClosedInterval:
+class _Interval(Record, order=True):
+    """The fields shared by closed and open intervals. Intervals are built and
+    compared in bulk, so they hold slots and spell out their equality."""
+
+    __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"closed interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
+
+
+class ClosedInterval(_Interval):
+    __slots__ = ()
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"closed interval needs lo <= hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -51,18 +68,14 @@ class ClosedInterval:
         return ClosedInterval(self.lo * factor, self.hi * factor)
 
 
-@dataclass(frozen=True, order=True)
-class OpenInterval:
-    lo: Fraction
-    hi: Fraction
+class OpenInterval(_Interval):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"open interval needs lo < hi, got ({self.lo}, {self.hi})")
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo >= hi:
+            raise ValueError(f"open interval needs lo < hi, got ({lo}, {hi})")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains(self, x: Fraction) -> bool:
         return self.lo < x < self.hi

@@ -1,0 +1,74 @@
+"""The base of the package's frozen records, without the dataclasses module.
+
+A record's fields are its class annotations, in order after its base's; a
+value in the class body is a default. A record is built positionally or by
+keyword, then runs __post_init__; it compares and hashes as its field tuple,
+equal only within its class, prints as Name(field=value, ...) and refuses
+assignment. order=True orders it as its field tuple. Importing dataclasses
+(inspect, ast, dis, tokenize) and compiling each class's methods would cost
+every CLI run.
+"""
+
+from operator import attrgetter, ge, gt, le, lt
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, order: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
+        # every record has at least two fields, so the key is a tuple
+        cls._key = attrgetter(*cls._fields)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_ordering, (lt, le, gt, ge))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or values.keys() != set(names) or not kwargs.keys().isdisjoint(names[: len(args)]):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields ({', '.join(names)}), "
+                f"got {len(args)} positional and {sorted(kwargs)} by keyword"
+            )
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or convert the fields once they are set."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record from its fields, through __init__
+        return type(self), self._key(self)
+
+
+def _ordering(op):
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(self), self._key(other))
+        return NotImplemented
+
+    return compare

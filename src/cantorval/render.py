@@ -9,7 +9,6 @@ appear only at the final mapping to SVG pixel coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .construction import RatioSequence
@@ -18,17 +17,16 @@ from .errors import AssumptionError
 from .gapforest import gap_family, small_ratio_count, small_ratio_indices, smallest_valid_base
 from .intervals import IntervalUnion
 from .rationals import format_scaled
+from .records import Record
 
 
-@dataclass(frozen=True)
-class StackRow:
+class StackRow(Record):
     depth: int
     union: IntervalUnion
     family_gaps: tuple[tuple[int, int], ...]  # open (lo, hi) over DepthStack.gap_denom, by lo
 
 
-@dataclass(frozen=True)
-class DepthStack:
+class DepthStack(Record):
     gap_denom: int
     rows: tuple[StackRow, ...]
 

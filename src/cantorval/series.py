@@ -14,7 +14,6 @@ and the difference set of the subsum set always has measure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import charge_power
@@ -23,6 +22,7 @@ from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
 from .rationals import format_rational, parse_rational, parse_rational_list, to_lattice
+from .records import Record
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -35,8 +35,7 @@ def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MultigeometricSeries:
+class MultigeometricSeries(Record):
     """Eventually multigeometric positive series: finite prefix terms, then a
     block repeated with a fixed ratio in (0, 1)."""
 
@@ -189,8 +188,7 @@ def _bits(label: str, entries) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DoublingPattern:
+class DoublingPattern(Record):
     """Eventually periodic 0/1 marking of which base-1/3 terms are doubled.
 
     Position j contributes 2/3**(j-1) when marked, 1/3**(j-1) otherwise.
@@ -289,8 +287,7 @@ def series_from_pattern(
     return series, seq, cert
 
 
-@dataclass(frozen=True)
-class MultigeometricForm:
+class MultigeometricForm(Record):
     """Purely periodic series written as (eps_1, ..., eps_m; 3**-m), with the
     exact measure of the subsum set's difference set divided by its span."""
 

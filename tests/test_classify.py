@@ -1,6 +1,5 @@
 """Trichotomy decisions, cover equations, witnesses, and certificates."""
 
-import dataclasses
 import sys
 import time
 from fractions import Fraction as F
@@ -254,19 +253,17 @@ class TestVerify:
 
     def test_tampered_measure_fails(self):
         cert = classify(EX1)
-        bad = dataclasses.replace(cert, measure=F(7, 5))
+        bad = Certificate(**{**vars(cert), "measure": F(7, 5)})
         checks = verify_certificate(bad, depth=4)
         failed = {c.name for c in checks if not c.passed}
         assert "measure-matches" in failed and "closed-form-measure" in failed
 
     def test_tampered_verdict_fails(self):
         cert = classify(CANTOR_SMALL)
-        bad = dataclasses.replace(cert, verdict=VERDICT_FULL)
+        bad = Certificate(**{**vars(cert), "verdict": VERDICT_FULL})
         assert not verification_passed(verify_certificate(bad, depth=4))
 
     def test_tampered_union_fails(self):
         cert = classify(FINITE)
-        bad = dataclasses.replace(
-            cert, union=normalize([ClosedInterval(F(-1), F(1))])
-        )
+        bad = Certificate(**{**vars(cert), "union": normalize([ClosedInterval(F(-1), F(1))])})
         assert not verification_passed(verify_certificate(bad, depth=4))

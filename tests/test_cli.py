@@ -12,6 +12,7 @@ from cantorval import (
     Certificate,
     IntervalUnion,
     RatioSequence,
+    SpecValidationError,
     classify,
     depth_stack,
     diff_approximation,
@@ -21,7 +22,8 @@ from cantorval import (
     series_from_ratios,
     verify_certificate,
 )
-from cantorval.cli import _HANDLERS, _json, main
+from cantorval import cli
+from cantorval.cli import _HANDLERS, _json, build_parser, main
 from strategies import ratio_sequences
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
@@ -89,6 +91,14 @@ class TestGapsAndSeries:
         data = json.loads(out)
         assert data["k0"] == 0
         assert {k: len(v) for k, v in data["levels"].items()} == {"1": 2, "2": 6}
+
+    def test_gaps_text_builds_no_json_rows(self, capsys, monkeypatch):
+        def unused(family):
+            raise AssertionError("built the JSON rows of a text request")
+
+        monkeypatch.setattr("cantorval.gapforest.GapFamily.to_json", unused)
+        out, _ = run(capsys, "gaps", "--spec", EX1_SPEC, "--depth", "2", "--format", "text")
+        assert out == "k0: 0\nlevel 1: 2 gaps\nlevel 2: 6 gaps\n"
 
     def test_gaps_reject_pure_regime(self, capsys):
         run(capsys, "gaps", "--spec", SMALL_SPEC, expect=3)
@@ -359,6 +369,15 @@ class TestExitCodes:
     def test_option_the_command_ignores_exits_two(self, capsys, argv):
         _, err = run(capsys, *argv, expect=2)
         assert err == f"error: cantorval: unrecognized arguments: {' '.join(argv[-2:])}\n"
+
+    def test_a_named_command_builds_its_subparser_alone(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+        run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "1")
+        run(capsys, "frobnicate", expect=2)
+        assert built == ["approx", None]
+        with pytest.raises(SpecValidationError, match="invalid choice: 'gaps'"):
+            build_parser("approx").parse_args(["gaps"])
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,13 @@ prints as Name(field=value, ...) and refuses assignment. The two interval
 classes also order as their (lo, hi) tuples.
 """
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +23,7 @@ from cantorval.intervals import ClosedInterval, IntervalUnion, OpenInterval
 from cantorval.render import DepthStack, StackRow
 from cantorval.series import DoublingPattern, MultigeometricForm, MultigeometricSeries
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 EX1 = RatioSequence((), (F(7, 15), F(5, 21)))
 UNION = IntervalUnion([ClosedInterval(F(-1), F(1))])
 ROW = StackRow(0, UNION, ())
@@ -137,6 +144,12 @@ def test_field_count_is_checked():
         Check("n", True, "", "extra")
     with pytest.raises(TypeError):
         Check("n", True, colour="red")
+    with pytest.raises(TypeError):
+        Check("n", passed=True, colour="red")
+    with pytest.raises(TypeError):
+        Check("n", True, name="m")
+    with pytest.raises(TypeError):
+        Certificate(EX1, "Unknown")
 
 
 @pytest.mark.parametrize("cls", [ClosedInterval, OpenInterval], ids=lambda cls: cls.__name__)
@@ -161,3 +174,19 @@ def test_hash_of_a_family_with_gaps_is_refused():
     assert family == build(GapFamily, levels=((1, {((0,), 0): (1, 2)}),))
     with pytest.raises(TypeError):
         hash(family)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_copies_and_pickles_keep_the_fields(cls):
+    record = build(cls)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and type(twin) is cls
+
+
+def test_loading_the_cli_compiles_no_code():
+    # dataclasses would load these to generate each record's methods
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = f"import sys, cantorval.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

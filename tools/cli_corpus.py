@@ -67,6 +67,9 @@ REFUSALS = [
     ["frobnicate"],
     [],
     ["gaps", "--help"],
+    ["series", "--help"],
+    ["--help"],
+    ["approx", "--bogus"],
 ]
 
 
