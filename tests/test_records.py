@@ -3,7 +3,8 @@
 Each record takes its fields in declaration order, positionally or by
 keyword, compares and hashes as its field tuple against its own class only,
 prints as Name(field=value, ...) and refuses assignment. The two interval
-classes also order as their (lo, hi) tuples.
+classes also order as their (lo, hi) tuples. None of this may cost a CLI run
+the dataclasses module or what it loads.
 """
 
 import copy
@@ -118,6 +119,11 @@ class TestRecord:
         shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
         assert repr(record) == f"{cls.__name__}({shown})"
 
+    def test_copies_and_pickles_keep_the_fields(self, cls):
+        record = build(cls)
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is cls
+
 
 @pytest.mark.parametrize("cls, given, full", DEFAULTS, ids=[cls.__name__ for cls, _, _ in DEFAULTS])
 def test_defaults_fill_missing_fields(cls, given, full):
@@ -176,14 +182,7 @@ def test_hash_of_a_family_with_gaps_is_refused():
         hash(family)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
-def test_copies_and_pickles_keep_the_fields(cls):
-    record = build(cls)
-    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-        assert twin == record and type(twin) is cls
-
-
-def test_loading_the_cli_compiles_no_code():
+def test_loading_the_cli_imports_no_code_generators():
     # dataclasses would load these to generate each record's methods
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
     probe = f"import sys, cantorval.cli; print([m for m in {heavy!r} if m in sys.modules])"
