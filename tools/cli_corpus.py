@@ -102,6 +102,9 @@ def requests() -> list[tuple[str, list[str]]]:
     for pattern in ('{"prefix_bits": "", "period_bits": "01"}', '{"prefix_bits": "0", "period_bits": "011"}'):
         for fmt in ("json", "text"):
             add("series", "--spec", f'{{"k": {pattern}}}', "--format", fmt)
+    # deeper family rows than the per-spec loop reaches
+    for name in ("ex1", "ex2", "ex3"):
+        add("gaps", "--spec", SPECS[name], "--depth", "8")
     series = '{"series": {"prefix": [], "block": ["1", "1"], "ratio": "1/9"}}'
     add("series", "--spec", series)
     for fmt in ("json", "text"):
@@ -139,6 +142,10 @@ def certificate_requests(main) -> list[tuple[str, list[str]]]:
                 out.append((f"verify --spec <classify {name}> --depth {depth} --format {fmt}", argv))
         argv = ["verify", "--spec", json.dumps(tampered), "--depth", "4"]
         out.append((f"verify --spec <tampered classify {name}> --depth 4", argv))
+        if name == "ex1":
+            # a deeper complement-equals-family check
+            argv = ["verify", "--spec", cert, "--depth", "12"]
+            out.append((f"verify --spec <classify {name}> --depth 12", argv))
     return out
 
 
