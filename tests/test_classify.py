@@ -1,11 +1,13 @@
 """Trichotomy decisions, cover equations, witnesses, and certificates."""
 
+import itertools
 import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorval import (
     AssumptionError,
@@ -32,6 +34,7 @@ from cantorval import (
     gap_at,
     normalize,
     residuals_vanish,
+    small_ratio_indices,
     verification_passed,
     verify_certificate,
 )
@@ -56,6 +59,48 @@ from specimens import (
 from strategies import ratio_sequences
 
 MIXED_PREFIXED = RatioSequence(prefix=(F(1, 4),), period=EX1.period)
+THIRD = F(1, 3)
+
+
+def recursive_witness(digits, side, ks, root_len):
+    """Reference witness construction, by recursion on the parent gap: the last
+    movable digit either steps toward the gap, or, at a small-ratio depth, hands
+    over to the parent gap's witness; padding puts 1 at the small-ratio depths
+    in between and the side's extreme digit everywhere else."""
+    kn = len(digits) + 1
+    n = ks.index(kn) + 1
+    if side == 0:
+        movable = [j for j in range(1, kn) if digits[j - 1] > 0]
+    else:
+        movable = [j for j in range(1, kn) if digits[j - 1] < 2]
+    last = movable[-1] if movable else 0
+    if last <= root_len:
+        raise ValueError("gap is a base member of the persistent family; no witness exists")
+    if last in ks:
+        l = ks.index(last) + 1
+        parent = recursive_witness(digits[: last - 1], digits[last - 1] - 1 + side, ks, root_len)
+    else:
+        l = bisect_right(ks, last)
+        step = -1 if side == 0 else 1
+        parent = digits[: last - 1] + (digits[last - 1] + step,)
+    mid = set(ks[l : n - 1])
+    filler = 2 if side == 0 else 0
+    tail = tuple(1 if j in mid else filler for j in range(len(parent) + 1, kn + 1))
+    return parent + tail
+
+
+@st.composite
+def witness_requests(draw):
+    """A mixed sequence, a valid base of at most 2 and a root of length at most 2."""
+    seq = draw(
+        ratio_sequences().filter(
+            lambda s: any(r < THIRD for r in s.period) and any(r >= THIRD for r in s.period)
+        )
+    )
+    bases = [b for b in range(3) if seq.ratio_at(b + 1) > THIRD]
+    assume(bases)
+    root = tuple(draw(st.lists(st.integers(0, 2), max_size=2)))
+    return seq, draw(st.sampled_from(bases)), root
 
 
 class TestResiduals:
@@ -201,6 +246,27 @@ class TestWitness:
         cover = diff_interval(EX1, witness)
         assert cover.lo <= gap.lo and gap.hi <= cover.hi
         assert EX1_DELTAS[3] in (gap.lo - cover.lo, cover.hi - gap.hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(witness_requests())
+    def test_witness_matches_recursive_construction(self, request_):
+        seq, base, root = request_
+        ks = small_ratio_indices(seq, base, 3)
+        for kn in ks:
+            # every code of length kn - 1 under the root, while there are few
+            if not 0 <= kn - 1 - len(root) <= 6:
+                continue
+            for tail in itertools.product((0, 1, 2), repeat=kn - 1 - len(root)):
+                code = root + tail
+                for side in (0, 1):
+                    try:
+                        expected = recursive_witness(code, side, ks, len(root))
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as info:
+                            cover_witness(seq, code, side, base, root)
+                        assert str(info.value) == str(exc)
+                    else:
+                        assert cover_witness(seq, code, side, base, root) == expected
 
     def test_family_member_has_no_witness(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,28 @@ def family_requests(draw):
     return seq, root, upto, base
 
 
+def rebuilt_levels(seq, root, upto, base, denom):
+    """Family levels built the long way: each level starts from its two extreme
+    gaps and adds the two flanking gaps over every gap of every earlier level,
+    each mapped to its ends from gap_bounds over denom."""
+    m = first_level(seq, root, base)
+    ks = small_ratio_indices(seq, base, upto)
+    levels = {}
+    for n in range(m, upto + 1):
+        kn = ks[n - 1]
+        gaps = [(root + (0,) * (kn - len(root) - 1), 0), (root + (2,) * (kn - len(root) - 1), 1)]
+        for l in range(m, n):
+            run = kn - ks[l - 1] - 1
+            for code, side in levels[l]:
+                gaps.append((code + (side + 1,) + (0,) * run, 0))
+                gaps.append((code + (side,) + (2,) * run, 1))
+        levels[n] = {}
+        for ref in gaps:
+            bounds = gap_bounds(seq, ref)
+            levels[n][ref] = (bounds.lo * denom, bounds.hi * denom)
+    return tuple(levels.items())
+
+
 def plain_terms(seq, base, growth, shrink, count):
     """(k_n, growth^(n-1) * (d(k_n - 1) - shrink*d(k_n))) for n = 1..count, with
     every d a plain product of ratios."""
@@ -188,6 +210,8 @@ class TestFamily:
                 for ref in sorted(gaps)
             ]
         assert family.to_json() == {"root": code_str(root), "k0": base, "levels": rows}
+        # the same gaps as every level built from all earlier ones; dicts compare unordered
+        assert family.levels == rebuilt_levels(seq, root, upto, base, family.denom)
 
     def test_first_level_at_deeper_roots(self):
         assert first_level(EX1, ()) == 1
