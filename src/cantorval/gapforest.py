@@ -2,13 +2,14 @@
 
 When the ratio sequence drops below 1/3 at infinitely many depths while also
 staying at or above 1/3 infinitely often, the gaps opened at the small-ratio
-depths can survive every later overlap. This module enumerates the recursive
-family of those candidate persistent gaps level by level, each gap named by
-its (code, side) pair and its ends read once from diffsets.scaled_gap as
-integers over one denominator, computes the two extreme codes that bound each
-level, and sums the family's total length in closed form: the terms repeat up
-to a fixed factor once the sequence enters its periodic part, so the series
-is a finite head plus geometric tails.
+depths can survive every later overlap. This module builds the family of
+those candidate persistent gaps one level from the last: each gap, named by
+its (code, side) pair, has three descendants (itself and the two gaps that
+flank the child over it) and carries its left end, so its ends are one
+diffsets.scaled_gap call on integers over one denominator. It computes the
+two extreme codes that bound each level, and sums the family's total length
+in closed form: the terms repeat up to a fixed factor once the sequence
+enters its periodic part, so the series is a finite head plus geometric tails.
 """
 
 from __future__ import annotations
@@ -145,10 +146,12 @@ def gap_family(
 ) -> GapFamily:
     """Build family levels m..upto below the root code, each gap with its ends.
 
-    Each level starts from the two extreme gaps of its small-ratio depth and
-    adds, for every gap of every earlier level, the two gaps that flank the
-    child interval sitting directly over it. Level m + i holds 2*3^i gaps,
-    so the budget is charged for all 3^(upto-m+1) - 1 of them up front.
+    Level m holds the two extreme gaps of its small-ratio depth. One level
+    down, each gap keeps three descendants: itself, persisting through a run
+    of its side's extreme digit, and the two gaps that flank the child
+    interval over it. Each gap carries the left end of the interval it opens
+    under: its parent's plus the weights of the digits it appends. Level m + i
+    holds 2*3^i gaps, so the budget is charged for all 3^(upto-m+1) - 1 up front.
     """
     digits = validate_code(root)
     k = len(digits)
@@ -158,20 +161,29 @@ def gap_family(
     charge_power(3, upto - m + 1, budget, less=1)
     ks = small_ratio_indices(seq, base, upto)
     table = seq.depth_table(ks[-1])
-    levels: dict[int, dict[tuple[Code, int], tuple[int, int]]] = {}
+    km = ks[m - 1]
+    lo, _ = scaled_interval(table, digits)
+    # each gap of the current level, mapped to the left end of the interval it opens under
+    lefts = {
+        (digits + (0,) * (km - k - 1), 0): lo,
+        (digits + (2,) * (km - k - 1), 1): lo + 2 * (table.ints[k] - table.ints[km - 1]),
+    }
+    levels = []
     for n in range(m, upto + 1):
         kn = ks[n - 1]
-        gaps = [(digits + (0,) * (kn - k - 1), 0), (digits + (2,) * (kn - k - 1), 1)]
-        for l in range(m, n):
-            run = kn - ks[l - 1] - 1
-            for code, side in levels[l]:
-                gaps.append((code + (side + 1,) + (0,) * run, 0))
-                gaps.append((code + (side,) + (2,) * run, 1))
-        levels[n] = {
-            (code, side): scaled_gap(table, scaled_interval(table, code)[0], kn - 1, side)
-            for code, side in gaps
-        }
-    return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels.items()))
+        if n > m:
+            prev = ks[n - 2]
+            run = kn - prev - 1
+            # the weight of the digit at depth prev, and the summed weights of depths prev+1..kn-1
+            drop, rest = table.drops[prev - 1], table.ints[prev] - table.ints[kn - 1]
+            below = {}
+            for (code, side), left in lefts.items():
+                below[code + (2 * side,) * (run + 1), side] = left + 2 * side * (drop + rest)
+                below[code + (side + 1,) + (0,) * run, 0] = left + (side + 1) * drop
+                below[code + (side,) + (2,) * run, 1] = left + side * drop + 2 * rest
+            lefts = below
+        levels.append((n, {gap: scaled_gap(table, left, kn - 1, gap[1]) for gap, left in lefts.items()}))
+    return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels))
 
 
 def small_index_series(
