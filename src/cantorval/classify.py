@@ -18,7 +18,6 @@ and the input itself, so that every claim can be recomputed from scratch.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -349,33 +348,25 @@ def classify(
 def _witness_digits(digits: Code, side: int, ks: list[int], root_len: int) -> Code:
     """Pure code construction of the covering witness for a non-family gap.
 
-    The last movable digit of the gap's code either falls strictly between
-    two small-ratio depths, in which case stepping that digit toward the gap
-    and padding gives the witness directly, or it is itself a small-ratio
-    depth, in which case the witness extends the parent gap's witness one
-    level down. Padding puts 1 at the intermediate small-ratio depths and
-    the side's extreme digit everywhere else.
+    When the last movable digit of the gap's code falls strictly between two
+    small-ratio depths, stepping it toward the gap and padding gives the
+    witness. At a small-ratio depth, the witness is the parent gap's, padded,
+    so the loop goes on from the parent. Padding puts 1 at the intermediate
+    small-ratio depths and the side's extreme digit everywhere else.
     """
-    kn = len(digits) + 1
-    n = ks.index(kn) + 1
-    if side == 0:
-        movable = [j for j in range(1, kn) if digits[j - 1] > 0]
-    else:
-        movable = [j for j in range(1, kn) if digits[j - 1] < 2]
-    last = movable[-1] if movable else 0
-    if last <= root_len:
-        raise ValueError("gap is a base member of the persistent family; no witness exists")
-    if last in ks:
-        l = ks.index(last) + 1
-        parent = _witness_digits(digits[: last - 1], digits[last - 1] - 1 + side, ks, root_len)
-    else:
-        l = bisect_right(ks, last)
-        step = -1 if side == 0 else 1
-        parent = digits[: last - 1] + (digits[last - 1] + step,)
-    mid = set(ks[l : n - 1])
-    filler = 2 if side == 0 else 0
-    tail = tuple(1 if j in mid else filler for j in range(len(parent) + 1, kn + 1))
-    return parent + tail
+    end = len(digits) + 1
+    tail: Code = ()
+    while True:
+        last = end - 1
+        while last > 0 and digits[last - 1] == 2 * side:
+            last -= 1
+        if last <= root_len:
+            raise ValueError("gap is a base member of the persistent family; no witness exists")
+        filler = 2 - 2 * side
+        tail = tuple(1 if j in ks and j < end else filler for j in range(last + 1, end + 1)) + tail
+        if last not in ks:
+            return digits[: last - 1] + (digits[last - 1] + 2 * side - 1,) + tail
+        side, end = digits[last - 1] - 1 + side, last
 
 
 def cover_witness(
