@@ -64,6 +64,9 @@ REFUSALS = [
     ["series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "11"}}'],
     ["series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "01"}, "lambda": {"period": ["1/4"]}}'],
     ["measure", "--spec", SPECS["ex1"], "--k0", "1"],
+    ["examples", "--budget", "5"],
+    ["gaps", "--spec", SPECS["ex1"], "--k0", "0"],
+    ["classify", "--spec", SPECS["ex1"], "--format", "svg"],
     ["frobnicate"],
     [],
     ["gaps", "--help"],
