@@ -52,7 +52,7 @@ class DepthTable:
     """Exact depth lengths of one sequence: lengths[r] == d(r) == ints[r] / denom,
     so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r], the scaled
     weight of digit r. Never mutated, yet not a records.Record: it is the
-    sequence's cache, which nothing builds from fields, compares or prints."""
+    sequence's cache and the gap family's lattice, which nothing compares or prints."""
 
     __slots__ = ("lengths", "ints", "denom", "drops")
 

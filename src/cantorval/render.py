@@ -14,7 +14,7 @@ from operator import itemgetter
 from .construction import RatioSequence
 from .diffsets import diff_approximation
 from .errors import AssumptionError
-from .gapforest import gap_family, small_ratio_count, small_ratio_indices, smallest_valid_base
+from .gapforest import gap_family, small_ratio_count, small_ratio_indices
 from .intervals import IntervalUnion
 from .rationals import format_scaled
 from .records import Record
@@ -44,7 +44,7 @@ def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> De
     carrying every persistent gap already open at that depth.
 
     A row has no family gaps when the sequence has no persistent family under
-    the empty root: its smallest valid base is not 0, or it does not mix both
+    the empty root: 0 is not a valid base for it, or it does not mix both
     kinds of ratio forever.
     """
     if depth < 0:
@@ -52,12 +52,11 @@ def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> De
     opened_at: dict[int, list[tuple[int, int]]] = {}
     denom = 1
     try:
-        base = smallest_valid_base(seq)
-        count = small_ratio_count(seq, depth) - small_ratio_count(seq, base)
+        count = small_ratio_count(seq, depth)
         if count > 0:
             # the family is charged before its depths are listed
-            family = gap_family(seq, root=(), upto=count, base=base, budget=budget)
-            ks = small_ratio_indices(seq, base, count)
+            family = gap_family(seq, root=(), upto=count, budget=budget)
+            ks = small_ratio_indices(seq, 0, count)
             opened_at = {k: sorted(family.level(n).values()) for n, k in enumerate(ks, 1)}
             denom = family.denom
     except AssumptionError:

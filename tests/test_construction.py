@@ -14,7 +14,10 @@ from cantorval import (
     SpecValidationError,
     cantor_approximation,
     depth_length,
+    depth_stack,
+    diff_approximation,
     gap_at,
+    gap_family,
     kept_interval,
     length_drop,
     normalize,
@@ -96,6 +99,13 @@ class TestDepthTable:
         assert warm == fresh and hash(warm) == hash(fresh)
         assert {warm: "found"}[fresh] == "found"
         assert (repr(warm), warm.to_json()) == before == (repr(fresh), fresh.to_json())
+
+    def test_warmed_table_keeps_gap_records_equal(self):
+        seq = RatioSequence(prefix=(), period=EX1.period)
+        before = gap_family(seq, (), 2), depth_stack(seq, 3)
+        diff_approximation(seq, 12)
+        assert before[0].denom == 405
+        assert (gap_family(seq, (), 2), depth_stack(seq, 3)) == before
 
     @settings(max_examples=40)
     @given(ratio_sequences(), st.integers(0, 8), st.integers(0, 6))
