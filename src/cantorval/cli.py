@@ -145,44 +145,45 @@ def _cert_text(cert: Certificate) -> str:
 
 def _cmd_classify(args, budget):
     cert = classify(_lambda_spec(_load_input(args.spec)), base=args.k0, budget=budget)
-    return cert.to_json(), _cert_text(cert), None, 0
+    return _cert_text(cert) if args.format == "text" else cert.to_json(), 0
 
 
 def _cmd_measure(args, budget):
-    cert = classify(_lambda_spec(_load_input(args.spec)), base=args.k0, budget=budget)
+    cert = classify(_lambda_spec(_load_input(args.spec)), budget=budget)
     if cert.measure is None:
         raise AssumptionError(
             f"no exact measure available (verdict {cert.verdict}); the closed "
             "form needs every cover equation to vanish with k0 = 0"
         )
-    payload = {"verdict": cert.verdict, "measure": format_rational(cert.measure)}
-    return payload, format_rational(cert.measure) + "\n", None, 0
+    measure = format_rational(cert.measure)
+    return measure + "\n" if args.format == "text" else {"verdict": cert.verdict, "measure": measure}, 0
 
 
 def _cmd_approx(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     depth = _depth(args, 4)
     union = diff_approximation(seq, depth, budget)
+    if args.format == "text":
+        return "[%s, %s]\n" * len(union.los) % tuple(union.endpoints()), 0
     # _json writes the union's parts straight from its lattice
-    payload = {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": union}
-    text = "[%s, %s]\n" * len(union.los) % tuple(union.endpoints()) if args.format == "text" else None
-    return payload, text, None, 0
+    return {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": union}, 0
 
 
 def _cmd_gaps(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
-    base = smallest_valid_base(seq) if args.k0 is None else args.k0
+    base = smallest_valid_base(seq)
     if base > 0:
         raise AssumptionError(f"the gap family under the empty root needs k0 = 0, got k0 = {base}")
     # the root family starts at level 1
     levels = _depth(args, 3, minimum=1)
-    family = gap_family(seq, (), levels, base, budget)
-    # the text body prints counts only, so the rows are built for JSON alone
-    payload = family.to_json() if args.format == "json" else None
-    lines = [f"k0: {base}"]
+    family = gap_family(seq, (), levels, budget=budget)
+    if args.format == "json":
+        return family.to_json(), 0
+    # the text body prints counts only
+    lines = [f"k0: {family.base}"]
     for n, gaps in family.levels:
         lines.append(f"level {n}: {len(gaps)} gaps")
-    return payload, "\n".join(lines) + "\n", None, 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _cmd_series(args, budget):
@@ -234,10 +235,12 @@ def _cmd_series(args, budget):
             "multigeometric": form,
         }
 
+    if args.format == "json":
+        return payload, 0
     text = "".join(
         f"{key}: {json.dumps(value, sort_keys=True)}\n" for key, value in sorted(payload.items())
     )
-    return payload, text, None, 0
+    return text, 0
 
 
 def _cmd_verify(args, budget):
@@ -246,27 +249,27 @@ def _cmd_verify(args, budget):
     depth = _depth(args, 6, minimum=1 if cert.verdict == VERDICT_CANTOR else 0)
     checks = verify_certificate(cert, depth=depth, budget=budget)
     passed = verification_passed(checks)
-    payload = {"passed": passed, "checks": [c.to_json() for c in checks]}
+    status = 0 if passed else 1
+    if args.format == "json":
+        return {"passed": passed, "checks": [c.to_json() for c in checks]}, status
     lines = [
         f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" — {c.detail}" if c.detail else "")
         for c in checks
     ]
     lines.append("verification " + ("passed" if passed else "FAILED"))
-    return payload, "\n".join(lines) + "\n", None, 0 if passed else 1
+    return "\n".join(lines) + "\n", status
 
 
 def _cmd_render(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     stack = depth_stack(seq, _depth(args, 5), budget)
-    # build only the rendering of args.format: _emit prints that slot and ignores the others
     render = {"json": DepthStack.to_json, "text": ascii_depth_stack, "svg": svg_depth_stack}
-    body = render[args.format](stack)
-    return body, body, body, 0
+    return render[args.format](stack), 0
 
 
 def _cmd_examples(args, budget):
-    rows = []
-    lines = []
+    text = args.format == "text"
+    body = []  # one text line or one JSON row per example
     for entry in _EXAMPLES:
         pattern = DoublingPattern(prefix_bits=(), period_bits=entry["period_bits"])
         series, seq, cert = series_from_pattern(pattern)
@@ -282,8 +285,11 @@ def _cmd_examples(args, budget):
                 f"pattern {entry['k_rule']} gave measure {cert.measure}, "
                 f"expected {entry['measure']}"
             )
-        rows.append(
-            {
+        body.append(
+            f"k = {entry['k_rule']:<12} lambda period ({', '.join(entry['period'])})"
+            f"  measure {entry['measure']}  difference-set measure 3"
+            if text
+            else {
                 "k_rule": entry["k_rule"],
                 "pattern": pattern.to_json(),
                 "lambda_period": list(entry["period"]),
@@ -292,26 +298,26 @@ def _cmd_examples(args, budget):
                 "difference_measure": "3",
             }
         )
-        lines.append(
-            f"k = {entry['k_rule']:<12} lambda period ({', '.join(entry['period'])})"
-            f"  measure {entry['measure']}  difference-set measure 3"
-        )
-    return {"examples": rows}, "\n".join(lines) + "\n", None, 0
+    return "\n".join(body) + "\n" if text else {"examples": body}, 0
 
 
-# each command's handler, help and options besides --format and --out, as README's
-# "Flags and limits" lists them
+_JSON_TEXT = ("json", "text")
+# each command's handler, help, options besides --format and --out, and --format
+# values with the default first, as README's "Flags and limits" lists them. A
+# handler returns (body, exit status): a str printed as it is, or a JSON value.
 _COMMANDS = {
-    "classify": (_cmd_classify, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0")),
-    "measure": (_cmd_measure, "exact measure of the difference set", ("spec", "budget", "k0")),
-    "approx": (_cmd_approx, "difference-set approximation at a depth", ("spec", "depth", "budget")),
-    "gaps": (_cmd_gaps, "persistent gap family by level", ("spec", "depth", "budget", "k0")),
-    "series": (_cmd_series, "convert between ratio, series, and doubling-pattern forms", ("spec",)),
-    "verify": (_cmd_verify, "recheck a certificate and its invariants", ("spec", "depth", "budget")),
-    "render": (_cmd_render, "depth-stack picture of the difference set", ("spec", "depth", "budget")),
-    "examples": (_cmd_examples, "reproduce the three bundled examples end to end", ("budget",)),
+    "classify": (_cmd_classify, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
+    "measure": (_cmd_measure, "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
+    "approx": (_cmd_approx, "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
+    "gaps": (_cmd_gaps, "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
+    "series": (_cmd_series, "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
+    "verify": (_cmd_verify, "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
+    "render": (
+        _cmd_render, "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
+    ),
+    "examples": (_cmd_examples, "reproduce the three bundled examples end to end", (), _JSON_TEXT),
 }
-_HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
+_HANDLERS = {name: entry[0] for name, entry in _COMMANDS.items()}
 _OPTIONS = {
     "spec": (str, "spec file path, or inline JSON starting with '{'"),
     "depth": (int, "construction depth / family levels"),
@@ -335,21 +341,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "difference sets, with series and doubling-pattern conversions.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (_, help_text, options) in _COMMANDS.items():
+    for name, (_, help_text, options, formats) in _COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
-        for option, (kind, option_help) in _OPTIONS.items():
-            if option in options:
-                p.add_argument(f"--{option}", type=kind, help=option_help)
-            else:
-                # handlers read an option the command does not take as None
-                p.set_defaults(**{option: None})
-        p.add_argument(
-            "--format",
-            choices=("json", "text", "svg"),
-            help="output format (default json; render defaults to svg)",
-        )
+        for option in options:
+            kind, option_help = _OPTIONS[option]
+            p.add_argument(f"--{option}", type=kind, help=option_help)
+        default = formats[0]
+        p.add_argument("--format", choices=formats, default=default, help=f"output format (default {default})")
         p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
@@ -375,8 +375,9 @@ def _json(value, indent: str = "\n") -> str:
     return f"{ends[0]}{inner}{f',{inner}'.join(items)}{indent}{ends[1]}" if items else ends
 
 
-def _emit(args, payload, text: str | None, svg: str | None) -> None:
-    body = svg if args.format == "svg" else text if args.format == "text" else _json(payload) + "\n"
+def _emit(args, body) -> None:
+    if not isinstance(body, str):
+        body = _json(body) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(body, encoding="utf-8")
@@ -391,13 +392,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         # help and a missing or unknown command list every command
         args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
-        args.format = args.format or ("svg" if args.command == "render" else "json")
-        # series takes no --budget and so reads no CANTORVAL_BUDGET either
+        # series and examples take no --budget and so read no CANTORVAL_BUDGET either
         budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None
-        if args.format == "svg" and args.command != "render":
-            raise SpecValidationError("--format svg is only available for render")
-        payload, text, svg, status = _HANDLERS[args.command](args, budget)
-        _emit(args, payload, text, svg)
+        body, status = _HANDLERS[args.command](args, budget)
+        _emit(args, body)
         return status
     except CantorvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
