@@ -105,6 +105,9 @@ def requests() -> list[tuple[str, list[str]]]:
     for pattern in ('{"prefix_bits": "", "period_bits": "01"}', '{"prefix_bits": "0", "period_bits": "011"}'):
         for fmt in ("json", "text"):
             add("series", "--spec", f'{{"k": {pattern}}}', "--format", fmt)
+    # 3^9 parts: more rows than one chunk of streamed output holds
+    for fmt in ("json", "text"):
+        add("approx", "--spec", SPECS["quarter"], "--depth", "9", "--format", fmt)
     # deeper family rows than the per-spec loop reaches
     for name in ("ex1", "ex2", "ex3"):
         add("gaps", "--spec", SPECS[name], "--depth", "8")
