@@ -13,7 +13,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -25,16 +27,17 @@ from .classify import (
     verify_certificate,
 )
 from .construction import RatioSequence
-from .diffsets import diff_approximation
+from .diffsets import code_str, diff_approximation
 from .errors import (
     AssumptionError,
     CantorvalError,
     SpecValidationError,
     VerificationError,
 )
-from .gapforest import gap_family, smallest_valid_base
+from .gapforest import GapFamily, gap_family, smallest_valid_base
 from .intervals import IntervalUnion
-from .rationals import format_rational, parse_rational
+from .rationals import fill_rows, format_rational, parse_rational
+from .records import Record
 from .render import DepthStack, ascii_depth_stack, depth_stack, svg_depth_stack
 from .series import (
     DoublingPattern,
@@ -164,7 +167,7 @@ def _cmd_approx(args, budget):
     depth = _depth(args, 4)
     union = diff_approximation(seq, depth, budget)
     if args.format == "text":
-        return "[%s, %s]\n" * len(union.los) % tuple(union.endpoints()), 0
+        return _union_text(union), 0
     # _json writes the union's parts straight from its lattice
     return {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": union}, 0
 
@@ -178,7 +181,7 @@ def _cmd_gaps(args, budget):
     levels = _depth(args, 3, minimum=1)
     family = gap_family(seq, (), levels, budget=budget)
     if args.format == "json":
-        return family.to_json(), 0
+        return family, 0  # _json writes the levels straight from its lattice
     # the text body prints counts only
     lines = [f"k0: {family.base}"]
     for n, gaps in family.levels:
@@ -304,7 +307,8 @@ def _cmd_examples(args, budget):
 _JSON_TEXT = ("json", "text")
 # each command's handler, help, options besides --format and --out, and --format
 # values with the default first, as README's "Flags and limits" lists them. A
-# handler returns (body, exit status): a str printed as it is, or a JSON value.
+# handler returns (body, exit status): a str or an iterator of str printed as it
+# is, or a JSON value.
 _COMMANDS = {
     "classify": (_cmd_classify, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
     "measure": (_cmd_measure, "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
@@ -354,37 +358,126 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _json(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for the payloads the commands
-    build: dicts with str keys, lists, tuples, str, int, bool and None. An
-    IntervalUnion is written as its to_json(), from one row template."""
+# bulk output is cut into pieces of at most this many rows, and written once
+# at least this many characters have gathered
+_CHUNK_ROWS = 4096
+_WRITE_CHARS = 1 << 16
+# JSON row templates at indent {0}, with keys sorted
+_UNION_ROW = '[{0}  "%d/%d",{0}  "%d/%d"{0}]'
+_GAP_ROW = '{{{0}  "code": "%s",{0}  "hi": "%d/%d",{0}  "lo": "%d/%d",{0}  "side": %d{0}}}'
+
+
+class _Rows(Record):
+    """A JSON list of count rows cut from one template: cut(a, b) gives the
+    columns of rows a..b-1, and a %d/%d slot's column holds numerators over denom."""
+
+    template: str
+    count: int
+    denom: int
+    cut: Callable[[int, int], list]
+
+
+def _union_rows(union: IntervalUnion) -> _Rows:
+    los, his = union.los, union.his
+    return _Rows(template=_UNION_ROW, count=len(los), denom=union.denom, cut=lambda a, b: [los[a:b], his[a:b]])
+
+
+def _level_rows(gaps: dict, denom: int) -> _Rows:
+    refs = sorted(gaps)
+
+    def cut(a: int, b: int) -> list:
+        part = refs[a:b]
+        ends = [gaps[ref] for ref in part]
+        return [[code_str(c) for c, _ in part], [hi for _, hi in ends], [lo for lo, _ in ends], [s for _, s in part]]
+
+    return _Rows(template=_GAP_ROW, count=len(refs), denom=denom, cut=cut)
+
+
+def _chunks(row: str, rows: _Rows, ends: str) -> Iterator[str]:
+    for a in range(0, rows.count, _CHUNK_ROWS):
+        yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom, ends)
+
+
+def _union_text(union: IntervalUnion) -> Iterator[str]:
+    return _chunks("[%d/%d, %d/%d]\n", _union_rows(union), ",]")
+
+
+def _json_rows(rows: _Rows, indent: str) -> Iterator[str]:
+    # ends are digits, "-" and "/", and codes are digits: nothing to escape
+    inner = indent + "  "
+    chunks = _chunks(f",{inner}" + rows.template.format(inner), rows, '"')
+    yield "[" + next(chunks)[1:]  # every row follows a comma but the first
+    yield from chunks
+    yield f"{indent}]"
+
+
+def _json(value) -> Iterator[str]:
+    """The pieces of json.dumps(value, indent=2, sort_keys=True) for the payloads
+    the commands build: dicts with str keys, lists, tuples, str, int, bool and
+    None. An IntervalUnion is written as its to_json() and a GapFamily as its
+    to_json(), their rows in chunks cut from one template; everything else is
+    one string, where a NUL, escaped everywhere else, marks each chunked list."""
+    lists: list[Iterator[str]] = []
+    text = _text(value, "\n", lists).split("\0")
+    yield text[0]
+    for rows, after in zip(lists, text[1:]):
+        yield from rows
+        yield after
+
+
+def _text(value, indent: str, lists: list) -> str:
+    """value's JSON at indent, with a NUL for each chunked list, whose pieces
+    are appended to lists in order."""
     inner = indent + "  "
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, IntervalUnion):
-        # endpoint strings are digits, "-" and "/": nothing to escape
-        row = f'[{inner}  "%s",{inner}  "%s"{inner}]'
-        items = [f",{inner}".join([row] * len(value.los)) % tuple(value.endpoints())] if value.los else []
-    elif isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        value = _union_rows(value)
+    elif isinstance(value, GapFamily):
+        levels = {str(n): _level_rows(gaps, value.denom) for n, gaps in value.levels}
+        value = {"k0": value.base, "levels": levels, "root": code_str(value.root)}
+    if isinstance(value, _Rows):
+        if not value.count:
+            return "[]"
+        lists.append(_json_rows(value, indent))
+        return "\0"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, inner, lists)}" for k, v in sorted(value.items())]
     elif isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
+        items = [_text(v, inner, lists) for v in value]
     else:
         return json.dumps(value)
     ends = "{}" if isinstance(value, dict) else "[]"
     return f"{ends[0]}{inner}{f',{inner}'.join(items)}{indent}{ends[1]}" if items else ends
 
 
+def _write(out, pieces: Iterable[str]) -> None:
+    """Write the pieces, gathered into writes of at least _WRITE_CHARS characters
+    but the last."""
+    gathered, size = [], 0
+    for piece in pieces:
+        gathered.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHARS:
+            out.write("".join(gathered))
+            gathered, size = [], 0
+    out.write("".join(gathered))
+
+
 def _emit(args, body) -> None:
-    if not isinstance(body, str):
-        body = _json(body) + "\n"
+    if isinstance(body, str):
+        body = (body,)
+    elif not isinstance(body, Iterator):
+        body = chain(_json(body), ("\n",))
     if args.out:
         try:
-            Path(args.out).write_text(body, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                _write(out, body)
         except OSError as exc:
             raise SpecValidationError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(body)
+        _write(sys.stdout, body)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -395,7 +488,15 @@ def main(argv: list[str] | None = None) -> int:
         # series and examples take no --budget and so read no CANTORVAL_BUDGET either
         budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None
         body, status = _HANDLERS[args.command](args, budget)
-        _emit(args, body)
+        try:
+            _emit(args, body)
+        except BrokenPipeError:
+            # the reader closed stdout, having read what it wanted: the exit status
+            # stays the command's, and what is still buffered goes to devnull, so
+            # that the flush at exit raises nothing either
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return status
     except CantorvalError as exc:
         print(f"error: {exc}", file=sys.stderr)

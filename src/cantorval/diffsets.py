@@ -47,7 +47,7 @@ def validate_code(code: Sequence[int]) -> Code:
 
 
 def code_str(code: Sequence[int]) -> str:
-    return "".join(str(d) for d in code)
+    return "".join(map(str, code))
 
 
 def scaled_interval(table: DepthTable, digits: Code) -> tuple[int, int]:

@@ -10,15 +10,16 @@ measuring, comparing, hashing and printing a union therefore costs integer
 work only; the Fraction parts are built once, on first use. Difference-set
 and Cantor approximations and subsum covers are Minkowski sums of one
 interval with point sets, all built by one fold of shifted copies; normalize
-and the Minkowski products share one integer sort-merge instead.
+and the Minkowski products share one merge of integer ends sorted apart instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from operator import le, lt
+from operator import gt, le, lt
 from typing import Iterable, Sequence
 
 from .errors import SpecValidationError
@@ -170,15 +171,9 @@ class IntervalUnion:
         """Reflection through 0."""
         return IntervalUnion(tuple(ClosedInterval(-p.hi, -p.lo) for p in reversed(self.parts)))
 
-    def endpoints(self) -> list[str]:
-        """Every part's lo and hi in turn, as reduced rational strings."""
-        ends = [0] * (2 * len(self.los))
-        ends[0::2], ends[1::2] = self.los, self.his
-        return format_scaled(ends, self.denom)
-
     def to_json(self) -> list[list[str]]:
-        ends = self.endpoints()
-        return [[lo, hi] for lo, hi in zip(ends[0::2], ends[1::2])]
+        los, his = (format_scaled(xs, self.denom) for xs in (self.los, self.his))
+        return [[lo, hi] for lo, hi in zip(los, his)]
 
     @classmethod
     def from_json(cls, data) -> "IntervalUnion":
@@ -205,7 +200,7 @@ def _on_lattice(parts: Sequence[ClosedInterval]) -> tuple[list[int], list[int], 
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
     """Sort arbitrary closed intervals and merge overlapping or touching ones."""
     los, his, denom = _on_lattice(tuple(intervals))
-    return union_from_scaled(merge_scaled(list(zip(los, his))), denom)
+    return IntervalUnion.from_lattice(*merge_scaled(los, his), denom)
 
 
 def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInterval]:
@@ -224,17 +219,19 @@ def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInte
     return gaps
 
 
-def merge_scaled(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Sort-merge over integer endpoint pairs; touching pairs merge."""
-    pairs.sort()
-    merged: list[list[int]] = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+def merge_scaled(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
+    """The components of the union of the closed intervals [los[i], his[i]],
+    as their sorted los and his; touching intervals merge.
+
+    With the ends sorted apart, a component ends at the k-th smallest hi
+    exactly when the (k+1)-th smallest lo lies beyond it: then the k+1
+    intervals that start first are the k+1 that end first.
+    """
+    if not los:
+        return [], []
+    los, his = sorted(los), sorted(his)
+    cuts = list(map(gt, los[1:], his))
+    return [los[0], *compress(los[1:], cuts)], [*compress(his, cuts), his[-1]]
 
 
 def fold_copies(levels: Iterable[Sequence[int]], lo: int, hi: int, denom: int) -> IntervalUnion:
@@ -277,22 +274,20 @@ def _add_copy(los: list[int], his: list[int], clo: list[int], chi: list[int]) ->
     return out_lo + clo[j:], out_hi + chi[j:]
 
 
-def union_from_scaled(pairs: list[tuple[int, int]], denom: int) -> IntervalUnion:
-    return IntervalUnion.from_lattice([lo for lo, _ in pairs], [hi for _, hi in pairs], denom)
-
-
 def _pairwise(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalUnion:
     if not a.los or not b.los:
         raise ValueError("Minkowski product of an empty union is undefined")
     denom = lcm(a.denom, b.denom)
     fa, fb = denom // a.denom, denom // b.denom
-    xs = [(lo * fa, hi * fa) for lo, hi in zip(a.los, a.his)]
-    ys = [(lo * fb, hi * fb) for lo, hi in zip(b.los, b.his)]
+    alos, ahis = [x * fa for x in a.los], [x * fa for x in a.his]
+    blos, bhis = [x * fb for x in b.los], [x * fb for x in b.his]
     if diff:
-        pairs = [(alo - bhi, ahi - blo) for alo, ahi in xs for blo, bhi in ys]
+        los = [x - y for x in alos for y in bhis]
+        his = [x - y for x in ahis for y in blos]
     else:
-        pairs = [(alo + blo, ahi + bhi) for alo, ahi in xs for blo, bhi in ys]
-    return union_from_scaled(merge_scaled(pairs), denom)
+        los = [x + y for x in alos for y in blos]
+        his = [x + y for x in ahis for y in bhis]
+    return IntervalUnion.from_lattice(*merge_scaled(los, his), denom)
 
 
 def minkowski_diff(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:

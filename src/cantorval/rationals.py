@@ -13,6 +13,8 @@ from operator import floordiv
 from .errors import SpecValidationError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# the slots of a fill_rows template, each %d/%d as one
+_SLOT_RE = re.compile(r"%d/%d|%[ds]")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -33,16 +35,37 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def fill_rows(row: str, columns: list, denom: int, ends: str) -> str:
+    """`row` once per entry of the columns, filled by one %-format: its %s, %d
+    and %d/%d slots take the columns in order, and a %d/%d slot writes its
+    column's integers over denom as reduced rationals, each gcd and division
+    mapped in C. A whole number then loses its "/1" before the terminator that
+    follows its slot, one of ends; nothing else in the text may hold "/1"
+    before a terminator."""
+    count = len(columns[0])
+    slots = _SLOT_RE.findall(row)
+    width = len(slots) + slots.count("%d/%d")
+    terms = [0] * (width * count)
+    k = 0
+    for slot, column in zip(slots, columns):
+        if slot == "%d/%d":
+            gs = list(map(gcd, column, repeat(denom)))
+            terms[k::width] = map(floordiv, column, gs)
+            terms[k + 1 :: width] = map(floordiv, repeat(denom), gs)
+            k += 2
+        else:
+            terms[k::width] = column
+            k += 1
+    text = row * count % tuple(terms)
+    for end in ends:
+        text = text.replace("/1" + end, end)
+    return text
+
+
 def format_scaled(numerators: list[int], denom: int) -> list[str]:
     """format_rational(Fraction(x, denom)) for each numerator x, without building
-    the Fractions: the gcds and divisions are mapped in C and every string is cut
-    from one %-format."""
-    gs = list(map(gcd, numerators, repeat(denom)))
-    terms = [0] * (2 * len(gs))
-    terms[0::2] = map(floordiv, numerators, gs)
-    terms[1::2] = map(floordiv, repeat(denom), gs)
-    # only a whole number reduces to denominator 1, and "/1," occurs nowhere else
-    return ("%d/%d," * len(gs) % tuple(terms)).replace("/1,", ",").split(",")[:-1]
+    the Fractions."""
+    return fill_rows("%d/%d,", [numerators], denom, ",").split(",")[:-1]
 
 
 def to_lattice(values: list[Fraction]) -> tuple[list[int], int]:

@@ -2,8 +2,13 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -23,7 +28,7 @@ from cantorval import (
     verify_certificate,
 )
 from cantorval import cli
-from cantorval.cli import _HANDLERS, _json, build_parser, main
+from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, build_parser, main
 from strategies import ratio_sequences
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
@@ -345,6 +350,30 @@ class TestExitCodes:
         _, err = run(capsys, "series", "--spec", spec, expect=2)
         assert "block must be a list" in err
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            # the reader stops inside the first chunk
+            (["approx", "--spec", SMALL_SPEC, "--depth", "10"], 10),
+            # the reader is gone before the first write, and the whole body is still buffered
+            (["measure", "--spec", EX1_SPEC], 0),
+        ],
+    )
+    def test_closed_stdout_pipe_exits_zero_quietly(self, unbuffered, argv, read):
+        # exit 1 would claim a refuted certificate, and the reader has all it wanted
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "cantorval.cli", *argv]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (0, b"")
+
     def test_unwritable_out_exits_two(self, capsys, tmp_path):
         # a missing directory, and a directory where the file should go
         for target in (tmp_path / "missing" / "x.json", tmp_path):
@@ -528,7 +557,7 @@ class TestJsonWriter:
     @example([["-1", "1/3"], ["2/3", 1], [None, True]])
     @given(_PAYLOADS)
     def test_matches_json_dumps(self, payload):
-        assert _json(payload) == _dumps(payload)
+        assert "".join(_json(payload)) == _dumps(payload)
 
     @settings(max_examples=40, deadline=None)
     @given(ratio_sequences(), st.integers(0, 4))
@@ -537,7 +566,60 @@ class TestJsonWriter:
         empty = IntervalUnion(())
         payload = {"parts": union, "nested": [[union, empty]]}
         expected = {"parts": union.to_json(), "nested": [[union.to_json(), []]]}
-        assert _json(payload) == _dumps(expected)
+        assert "".join(_json(payload)) == _dumps(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @example(_CHUNK_ROWS + 1, 1, 0, 2, 1)  # whole ends, 0 among them
+    @example(2 * _CHUNK_ROWS + 1, 3, -4, 3, 0)  # points: lo == hi
+    @given(
+        st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]),
+        st.integers(1, 12),
+        st.integers(-12, 12),
+        st.integers(1, 40),
+        st.integers(0, 39),
+    )
+    def test_chunked_union_rows_match_json_dumps(self, count, denom, offset, step, width):
+        # parts around 0, of one width, step apart
+        los = [offset + step * (i - count // 2) for i in range(count)]
+        union = IntervalUnion.from_lattice(los, [lo + width % step for lo in los], denom)
+        assert "".join(_json(union)) == _dumps(union.to_json())
+        assert "".join(_json({"parts": [union]})) == _dumps({"parts": [union.to_json()]})
+        text = "".join(f"[{lo}, {hi}]\n" for lo, hi in union.to_json())
+        assert "".join(cli._union_text(union)) == text
+
+    @pytest.mark.parametrize("depth", [1, 3, 8, 9])
+    def test_chunked_family_levels_match_json_dumps(self, depth):
+        # EX1's level 8 holds 4,374 gaps and its level 9 13,122
+        family = gap_family(RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"]), (), depth)
+        assert "".join(_json(family)) == _dumps(family.to_json())
+        assert "".join(_json([family])) == _dumps([family.to_json()])
+
+    def test_out_file_bytes_equal_stdout_bytes(self, capsys, tmp_path):
+        # 3^9 parts span several chunks
+        target = tmp_path / "approx.json"
+        for fmt in ("json", "text"):
+            out, _ = run(capsys, "approx", "--spec", SMALL_SPEC, "--depth", "9", "--format", fmt)
+            assert run(capsys, "approx", "--spec", SMALL_SPEC, "--depth", "9", "--format", fmt, "--out", str(target)) == ("", "")
+            assert target.read_bytes() == out.encode()
+
+    def test_bulk_output_peak_memory_is_bounded(self, monkeypatch):
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        # a deterministic count of the bytes Python allocates, not a timing
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = main(["approx", "--spec", SMALL_SPEC, "--depth", "9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4.5e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_each_command_prints_json_dumps_of_its_payload(self, capsys):
         def expect(payload, *argv):

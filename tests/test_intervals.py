@@ -21,7 +21,7 @@ from cantorval import (
     minkowski_sum,
     normalize,
 )
-from cantorval.intervals import merge_scaled, union_from_scaled
+from cantorval.intervals import merge_scaled
 from cantorval.rationals import format_scaled, to_lattice
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=48)
@@ -164,12 +164,31 @@ class TestProperties:
         assert d.mirror() == d
 
 
+def loop_merge(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The per-pair sort-merge that merge_scaled replaced: the oracle for its sweep."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(pairs):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
 class TestScaledPipeline:
     def test_merge_scaled_matches_normalize(self):
         pairs = [(4, 7), (0, 2), (2, 3), (9, 10)]
-        merged = union_from_scaled(merge_scaled(pairs[:]), 6)
+        merged = IntervalUnion.from_lattice(*merge_scaled([4, 0, 2, 9], [7, 2, 3, 10]), 6)
         direct = normalize([ClosedInterval(F(lo, 6), F(hi, 6)) for lo, hi in pairs])
         assert merged == direct
+
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 12)), max_size=12))
+    def test_merge_scaled_matches_the_pair_loop(self, starts):
+        # zero widths, touching and nested intervals all occur on this small range
+        pairs = [(lo, lo + width) for lo, width in starts]
+        los, his = merge_scaled([lo for lo, _ in pairs], [hi for _, hi in pairs])
+        assert list(zip(los, his)) == loop_merge(pairs)
 
     def test_minkowski_empty_raises(self):
         u = normalize([ClosedInterval(F(0), F(1))])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cantorval import SpecValidationError, format_rational, parse_rational
+from cantorval.rationals import fill_rows
 
 
 def test_accepts_integer_and_fraction_literals():
@@ -26,3 +27,13 @@ def test_rejects_everything_else(text):
 @given(st.fractions(max_denominator=10**6))
 def test_round_trip_is_identity(value):
     assert parse_rational(format_rational(value)) == value
+
+
+@given(
+    st.lists(st.tuples(st.text("012", max_size=5), st.integers(-(10**6), 10**6), st.integers(0, 1)), max_size=20),
+    st.integers(1, 10**4),
+)
+def test_fill_rows_matches_fraction_strings(rows, denom):
+    codes, nums, sides = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    text = fill_rows("<%s %d/%d %d>", [codes, nums, sides], denom, " ")
+    assert text == "".join(f"<{c} {F(n, denom)} {s}>" for c, n, s in rows)
