@@ -483,6 +483,9 @@ def _emit(args, body) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
+        # a leading "--" only separates options from the command
+        if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+            argv = argv[1:]
         # help and a missing or unknown command list every command
         args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         # series and examples take no --budget and so read no CANTORVAL_BUDGET either

@@ -165,5 +165,5 @@ def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = No
     charge_power(2, depth, budget)
     dints, denom = scaled_lengths(seq, depth)
     # [0, d_n] + sum over r of {0, w_r}, with w_r = d_{r-1} - d_r
-    levels = ((dints[r - 1] - dints[r],) for r in range(depth, 0, -1))
-    return fold_copies(levels, 0, dints[depth], denom)
+    weights = (dints[r - 1] - dints[r] for r in range(depth, 0, -1))
+    return fold_copies(weights, 1, 0, dints[depth], denom)

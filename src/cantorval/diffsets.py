@@ -12,10 +12,11 @@ diff_approximation never lists the 3^n coded intervals. The depth-n set is
 the Minkowski sum [-1, -1 + 2 d_n] + sum over r of {0, w_r, 2 w_r}, with
 w_r = d_{r-1} - d_r, and intervals.fold_copies builds it from the finest
 level up, adding the copies shifted by w_r and 2 w_r of the parts built so
-far; the geometry alone decides whether a copy concatenates or merges. The
-cost is the sum over levels of three times the parts built so far, not 3^n:
-far fewer parts when overlaps merge, and 3^n only where every part survives.
-The budget still counts the 3^n coded intervals a depth stands for.
+far. A level whose ratio is below 1/3 only concatenates its copies; one at
+1/3 or above merges them. The cost is the sum over levels of three times the
+parts built so far, not 3^n: far fewer parts when overlaps merge, and 3^n
+only where every part survives. The budget still counts the 3^n coded
+intervals a depth stands for.
 
 The endpoint formulas live here once, on the integer lattice of the
 sequence's depth table: scaled_interval gives a coded interval's ends and
@@ -81,8 +82,8 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
         raise ValueError("depth must be >= 0")
     charge_power(3, depth, budget)
     dints, denom = scaled_lengths(seq, depth)
-    levels = ((w, 2 * w) for w in (dints[r - 1] - dints[r] for r in range(depth, 0, -1)))
-    return fold_copies(levels, -denom, 2 * dints[depth] - denom, denom)
+    weights = (dints[r - 1] - dints[r] for r in range(depth, 0, -1))
+    return fold_copies(weights, 2, -denom, 2 * dints[depth] - denom, denom)
 
 
 def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:

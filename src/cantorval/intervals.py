@@ -9,13 +9,14 @@ over one denominator, reduced so that the form is canonical. Building,
 measuring, comparing, hashing and printing a union therefore costs integer
 work only; the Fraction parts are built once, on first use. Difference-set
 and Cantor approximations and subsum covers are Minkowski sums of one
-interval with point sets, all built by one fold of shifted copies; normalize
-and the Minkowski products share one merge of integer ends sorted apart instead.
+interval with point sets, all built by one fold of shifted copies. The fold,
+normalize and the Minkowski products merge through one routine,
+merge_scaled, over integer ends sorted apart.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -234,44 +235,22 @@ def merge_scaled(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
     return [los[0], *compress(los[1:], cuts)], [*compress(his, cuts), his[-1]]
 
 
-def fold_copies(levels: Iterable[Sequence[int]], lo: int, hi: int, denom: int) -> IntervalUnion:
-    """The union [lo, hi] + sum over levels of {0, *shifts}, over denom.
+def fold_copies(weights: Iterable[int], copies: int, lo: int, hi: int, denom: int) -> IntervalUnion:
+    """The union [lo, hi] + sum over weights w of {0, w, ..., copies * w}, over denom.
 
-    Levels come innermost first, each with its positive shifts ascending: a
-    level adds one copy of the parts built so far per shift.
+    Weights come innermost first: each adds the parts built so far shifted by
+    w, ..., copies * w. A weight beyond their span leaves the copies strictly
+    separated, so they are only concatenated; otherwise merge_scaled merges them.
     """
     los, his = [lo], [hi]
-    for shifts in levels:
-        base_lo, base_hi = los, his
-        for s in shifts:
-            los, his = _add_copy(los, his, [x + s for x in base_lo], [x + s for x in base_hi])
+    for w in weights:
+        apart = w > his[-1] - los[0]
+        shifts = [k * w for k in range(1, copies + 1)]
+        los = los + [x + s for s in shifts for x in los]
+        his = his + [x + s for s in shifts for x in his]
+        if not apart:
+            los, his = merge_scaled(los, his)
     return IntervalUnion.from_lattice(los, his, denom)
-
-
-def _add_copy(los: list[int], his: list[int], clo: list[int], chi: list[int]) -> tuple[list, list]:
-    """Union of sorted, separated parts and a copy of them shifted right, in one
-    linear pass. Parts that cannot meet the other side are kept by slice, and
-    only the zone between is merged. Touching parts merge."""
-    if clo[0] > his[-1]:
-        return los + clo, his + chi
-    i = bisect_left(his, clo[0])  # first part that reaches the copy
-    j = bisect_right(clo, his[-1])  # first copy part past every part
-    out_lo, out_hi = los[:i], his[:i]
-    a, b, na = i, 0, len(los)
-    while a < na or b < j:
-        if b == j or (a < na and los[a] <= clo[b]):
-            lo, hi = los[a], his[a]
-            a += 1
-        else:
-            lo, hi = clo[b], chi[b]
-            b += 1
-        if out_hi and lo <= out_hi[-1]:
-            if hi > out_hi[-1]:
-                out_hi[-1] = hi
-        else:
-            out_lo.append(lo)
-            out_hi.append(hi)
-    return out_lo + clo[j:], out_hi + chi[j:]
 
 
 def _pairwise(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalUnion:

@@ -176,7 +176,7 @@ def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = 
     terms = [series.term(j) for j in range(1, depth + 1)]
     (*ints, tail), denom = to_lattice([*terms, series.remainder(depth)])
     # [0, tail] + sum over j of {0, t_j}, the smallest terms folded in first
-    return fold_copies(((t,) for t in reversed(ints)), 0, tail, denom)
+    return fold_copies(reversed(ints), 1, 0, tail, denom)
 
 
 def _bits(label: str, entries) -> tuple[int, ...]:

@@ -395,6 +395,14 @@ class TestExitCodes:
             _, err = run(capsys, *argv, expect=2)
             assert err.startswith("error: ") and err.count("\n") == 1 and words in err
 
+    def test_leading_separator_before_a_command_is_dropped(self, capsys):
+        argv = ["approx", "--spec", SMALL_SPEC, "--depth", "2"]
+        assert run(capsys, "--", *argv) == run(capsys, *argv)
+        # only one "--", and only before a command name
+        for argv in (["--"], ["--", "--", "approx"], ["--", "frobnicate"]):
+            _, err = run(capsys, *argv, expect=2)
+            assert err.startswith("error: cantorval: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,28 +1,36 @@
-"""Interval set algebra: normalization, complements, Minkowski products.
+"""Interval set algebra: normalization, complements, Minkowski products, and
+the fold of shifted copies behind every approximation.
 
-Unions, normalize and the Minkowski products run on scaled integers, so the
-key tests here cross-check them against a naive pure-Fraction merge.
+Unions, normalize, the Minkowski products and the fold all run on scaled
+integers and merge through merge_scaled, so the key tests here cross-check
+them against a naive pure-Fraction merge that shares none of that code.
 """
 
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorval import (
     ClosedInterval,
     IntervalUnion,
+    MultigeometricSeries,
     OpenInterval,
+    RatioSequence,
     SpecValidationError,
+    cantor_approximation,
     complement_gaps,
+    diff_approximation,
     format_rational,
     minkowski_diff,
     minkowski_sum,
     normalize,
+    subsum_cover,
 )
 from cantorval.intervals import merge_scaled
 from cantorval.rationals import format_scaled, to_lattice
+from strategies import ratio_entries
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=48)
 
@@ -196,6 +204,73 @@ class TestScaledPipeline:
             minkowski_diff(u, normalize([]))
         with pytest.raises(ValueError):
             minkowski_sum(normalize([]), u)
+
+
+def fraction_fold(lo: F, hi: F, weights, copies: int) -> list[list[F]]:
+    """[lo, hi] + sum over weights w of {0, w, ..., copies * w}, in Fractions:
+    one level at a time, outermost first, each merged by fraction_merge."""
+    parts = [[lo, hi]]
+    for w in weights:
+        parts = fraction_merge(ClosedInterval(a + k * w, b + k * w) for k in range(copies + 1) for a, b in parts)
+    return parts
+
+
+def fraction_parts(u: IntervalUnion) -> list[list[F]]:
+    return [[p.lo, p.hi] for p in u.parts]
+
+
+THIRD = F(1, 3)
+small_ratios = ratio_entries().filter(lambda r: r < THIRD)
+# a ratio of exactly 1/3 makes neighbouring copies touch, so they must merge
+any_ratios = st.one_of(st.just(THIRD), ratio_entries())
+
+
+@st.composite
+def fold_sequences(draw):
+    """Prefixes, all-small and mixed periods, and periods holding 1/3."""
+    entries = any_ratios if draw(st.booleans()) else small_ratios
+    prefix = tuple(draw(st.lists(any_ratios, max_size=2)))
+    return RatioSequence(prefix=prefix, period=tuple(draw(st.lists(entries, min_size=1, max_size=3))))
+
+
+@st.composite
+def fold_series(draw):
+    """Nonincreasing series whose terms fall above, at or below their remainders."""
+    terms = sorted(draw(st.lists(st.fractions(F(1, 20), 1), min_size=1, max_size=4)), reverse=True)
+    split = draw(st.integers(0, len(terms) - 1))
+    prefix, block = terms[:split], terms[split:]
+    # at most block[-1] / block[0], so the series stays nonincreasing across blocks
+    ratio = draw(st.sampled_from((F(1, 4), F(1, 3), F(1, 2), F(3, 4)))) * block[-1] / block[0]
+    return MultigeometricSeries(prefix=tuple(prefix), block=tuple(block), ratio=ratio)
+
+
+class TestFoldAgainstFractions:
+    """diff_approximation, cantor_approximation and subsum_cover all come from
+    intervals.fold_copies; here they meet a fold that never calls
+    merge_scaled or normalize."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fold_sequences(), st.integers(0, 7))
+    # every level's three copies touch end to end: the union is [-1, 1]
+    @example(RatioSequence(prefix=(), period=(THIRD,)), 7)
+    @example(RatioSequence(prefix=(F(1, 4),), period=(THIRD, F(2, 5))), 6)
+    @example(RatioSequence(prefix=(F(2, 5),), period=(F(1, 4), F(1, 5))), 7)
+    def test_approximations_match(self, seq, depth):
+        d = [F(1)]
+        for r in range(1, depth + 1):
+            d.append(d[-1] * seq.ratio_at(r))
+        weights = [d[r - 1] - d[r] for r in range(1, depth + 1)]
+        assert fraction_parts(diff_approximation(seq, depth)) == fraction_fold(F(-1), 2 * d[depth] - 1, weights, 2)
+        assert fraction_parts(cantor_approximation(seq, depth)) == fraction_fold(F(0), d[depth], weights, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fold_series(), st.integers(0, 7))
+    # each term 2^-j equals its remainder, so every copy touches: the union is [0, 2]
+    @example(MultigeometricSeries(block=(F(1),), ratio=F(1, 2)), 7)
+    def test_subsum_cover_matches(self, series, depth):
+        weights = [series.term(j) for j in range(1, depth + 1)]
+        want = fraction_fold(F(0), series.remainder(depth), weights, 1)
+        assert fraction_parts(subsum_cover(series, depth)) == want
 
 
 class TestLattice:

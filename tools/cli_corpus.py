@@ -108,6 +108,12 @@ def requests() -> list[tuple[str, list[str]]]:
     # 3^9 parts: more rows than one chunk of streamed output holds
     for fmt in ("json", "text"):
         add("approx", "--spec", SPECS["quarter"], "--depth", "9", "--format", fmt)
+    # the fold's merge branch at scale: 6,561 parts, and 13,375 parts from copies
+    # that partly overlap, more than three chunks of streamed output
+    add("approx", "--spec", SPECS["ex3"], "--depth", "12")
+    add("approx", "--spec", _spec([], ["2/5", "5/16"]), "--depth", "10")
+    # the separator that may stand before the command
+    add("--", "approx", "--spec", SPECS["quarter"], "--depth", "3")
     # deeper family rows than the per-spec loop reaches
     for name in ("ex1", "ex2", "ex3"):
         add("gaps", "--spec", SPECS[name], "--depth", "8")
