@@ -222,7 +222,8 @@ def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInte
 
 def merge_scaled(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
     """The components of the union of the closed intervals [los[i], his[i]],
-    as their sorted los and his; touching intervals merge.
+    as their sorted los and his; touching intervals merge. Sorts both
+    arguments in place, so that no copy of them is held.
 
     With the ends sorted apart, a component ends at the k-th smallest hi
     exactly when the (k+1)-th smallest lo lies beyond it: then the k+1
@@ -230,7 +231,8 @@ def merge_scaled(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
     """
     if not los:
         return [], []
-    los, his = sorted(los), sorted(his)
+    los.sort()
+    his.sort()
     cuts = list(map(gt, los[1:], his))
     return [los[0], *compress(los[1:], cuts)], [*compress(his, cuts), his[-1]]
 
