@@ -108,6 +108,10 @@ def requests() -> list[tuple[str, list[str]]]:
     # 3^9 parts: more rows than one chunk of streamed output holds
     for fmt in ("json", "text"):
         add("approx", "--spec", SPECS["quarter"], "--depth", "9", "--format", fmt)
+    # render's rows at depth 9: a last row of 3^9 parts, five chunks deep in the
+    # rows list, and EX3's family gaps in every row from depth 3 on
+    for name in ("quarter", "ex3"):
+        add("render", "--spec", SPECS[name], "--depth", "9", "--format", "json")
     # the fold's merge branch at scale: 6,561 parts, and 13,375 parts from copies
     # that partly overlap, more than three chunks of streamed output
     add("approx", "--spec", SPECS["ex3"], "--depth", "12")
