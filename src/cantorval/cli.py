@@ -13,10 +13,9 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .classify import (
@@ -38,7 +37,7 @@ from .gapforest import GapFamily, gap_family, smallest_valid_base
 from .intervals import IntervalUnion
 from .rationals import fill_rows, format_rational, parse_rational
 from .records import Record
-from .render import DepthStack, ascii_depth_stack, depth_stack, svg_depth_stack
+from .render import ascii_depth_stack, depth_stack, svg_depth_stack
 from .series import (
     DoublingPattern,
     MultigeometricSeries,
@@ -266,8 +265,14 @@ def _cmd_verify(args, budget):
 def _cmd_render(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     stack = depth_stack(seq, _depth(args, 5), budget)
-    render = {"json": DepthStack.to_json, "text": ascii_depth_stack, "svg": svg_depth_stack}
-    return render[args.format](stack), 0
+    if args.format != "json":
+        return {"text": ascii_depth_stack, "svg": svg_depth_stack}[args.format](stack), 0
+    # DepthStack.to_json(), with each row's parts and family gaps written by _json from the lattice
+    rows = []
+    for row in stack.rows:
+        gaps = _union_rows([lo for lo, _ in row.family_gaps], [hi for _, hi in row.family_gaps], stack.gap_denom)
+        rows.append({"depth": row.depth, "parts": row.union, "family_gaps": gaps})
+    return {"hull": ["-1", "1"], "rows": rows}, 0
 
 
 def _cmd_examples(args, budget):
@@ -377,9 +382,8 @@ class _Rows(Record):
     cut: Callable[[int, int], list]
 
 
-def _union_rows(union: IntervalUnion) -> _Rows:
-    los, his = union.los, union.his
-    return _Rows(template=_UNION_ROW, count=len(los), denom=union.denom, cut=lambda a, b: [los[a:b], his[a:b]])
+def _union_rows(los: Sequence[int], his: Sequence[int], denom: int) -> _Rows:
+    return _Rows(template=_UNION_ROW, count=len(los), denom=denom, cut=lambda a, b: [los[a:b], his[a:b]])
 
 
 def _level_rows(gaps: dict, denom: int) -> _Rows:
@@ -399,56 +403,41 @@ def _chunks(row: str, rows: _Rows, ends: str) -> Iterator[str]:
 
 
 def _union_text(union: IntervalUnion) -> Iterator[str]:
-    return _chunks("[%d/%d, %d/%d]\n", _union_rows(union), ",]")
+    return _chunks("[%d/%d, %d/%d]\n", _union_rows(union.los, union.his, union.denom), ",]")
 
 
-def _json_rows(rows: _Rows, indent: str) -> Iterator[str]:
-    # ends are digits, "-" and "/", and codes are digits: nothing to escape
-    inner = indent + "  "
-    chunks = _chunks(f",{inner}" + rows.template.format(inner), rows, '"')
-    yield "[" + next(chunks)[1:]  # every row follows a comma but the first
-    yield from chunks
-    yield f"{indent}]"
-
-
-def _json(value) -> Iterator[str]:
-    """The pieces of json.dumps(value, indent=2, sort_keys=True) for the payloads
-    the commands build: dicts with str keys, lists, tuples, str, int, bool and
-    None. An IntervalUnion is written as its to_json() and a GapFamily as its
-    to_json(), their rows in chunks cut from one template; everything else is
-    one string, where a NUL, escaped everywhere else, marks each chunked list."""
-    lists: list[Iterator[str]] = []
-    text = _text(value, "\n", lists).split("\0")
-    yield text[0]
-    for rows, after in zip(lists, text[1:]):
-        yield from rows
-        yield after
-
-
-def _text(value, indent: str, lists: list) -> str:
-    """value's JSON at indent, with a NUL for each chunked list, whose pieces
-    are appended to lists in order."""
-    inner = indent + "  "
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+def _json(value, indent: str = "\n") -> Iterator[str]:
+    """The pieces of json.dumps(value, indent=2, sort_keys=True), value standing
+    at indent, for the payloads the commands build: dicts with str keys, lists,
+    tuples, str, int, bool and None. An IntervalUnion is written as its to_json()
+    and a GapFamily as its to_json(), and so is each of their lists of rows: one
+    piece per chunk of at most _CHUNK_ROWS rows, cut from one template."""
     if isinstance(value, IntervalUnion):
-        value = _union_rows(value)
+        value = _union_rows(value.los, value.his, value.denom)
     elif isinstance(value, GapFamily):
         levels = {str(n): _level_rows(gaps, value.denom) for n, gaps in value.levels}
         value = {"k0": value.base, "levels": levels, "root": code_str(value.root)}
-    if isinstance(value, _Rows):
-        if not value.count:
-            return "[]"
-        lists.append(_json_rows(value, indent))
-        return "\0"
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_text(v, inner, lists)}" for k, v in sorted(value.items())]
-    elif isinstance(value, (list, tuple)):
-        items = [_text(v, inner, lists) for v in value]
+    inner = indent + "  "
+    if isinstance(value, (dict, list, tuple)) and value:
+        keyed = isinstance(value, dict)
+        ends = "{}" if keyed else "[]"
+        for i, item in enumerate(sorted(value.items()) if keyed else value):
+            yield ("," if i else ends[0]) + inner
+            if keyed:
+                yield json.dumps(item[0]) + ": "
+                item = item[1]
+            yield from _json(item, inner)
+        yield indent + ends[1]
+    elif not isinstance(value, _Rows):
+        yield json.dumps(value)
+    elif value.count:
+        # ends are digits, "-" and "/", and codes are digits: nothing to escape
+        chunks = _chunks(f",{inner}" + value.template.format(inner), value, '"')
+        yield "[" + next(chunks)[1:]  # every row follows a comma but the first
+        yield from chunks
+        yield indent + "]"
     else:
-        return json.dumps(value)
-    ends = "{}" if isinstance(value, dict) else "[]"
-    return f"{ends[0]}{inner}{f',{inner}'.join(items)}{indent}{ends[1]}" if items else ends
+        yield "[]"
 
 
 def _write(out, pieces: Iterable[str]) -> None:

@@ -207,10 +207,9 @@ class TestRender:
         def unused(stack):
             raise AssertionError("built a rendering that is not printed")
 
-        renderers = {
-            "json": "DepthStack.to_json", "text": "ascii_depth_stack", "svg": "svg_depth_stack"
-        }
-        for other, name in renderers.items():
+        # the JSON body is written from the stack's rows, so no format calls to_json
+        monkeypatch.setattr("cantorval.render.DepthStack.to_json", unused)
+        for other, name in {"text": "ascii_depth_stack", "svg": "svg_depth_stack"}.items():
             if other != fmt:
                 monkeypatch.setattr(f"cantorval.cli.{name}", unused)
         out, _ = run(capsys, "render", "--spec", EX1_SPEC, "--depth", "3", "--format", fmt)
@@ -620,14 +619,21 @@ class TestJsonWriter:
 
         # a deterministic count of the bytes Python allocates, not a timing
         monkeypatch.setattr(sys, "stdout", Sink())
-        tracemalloc.start()
-        try:
-            code = main(["approx", "--spec", SMALL_SPEC, "--depth", "9"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 4.5e6, f"peak {peak / 1e6:.2f} MB"
+        # render's last row holds as many parts as approx's union
+        for argv in (["approx"], ["render", "--format", "json"]):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--spec", SMALL_SPEC, "--depth", "9"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 4.5e6, f"{argv[0]}: peak {peak / 1e6:.2f} MB"
+
+    def test_render_rows_of_many_chunks_match_json_dumps(self, capsys):
+        # the last row's 3^9 parts span five chunks, nested in the rows list
+        out, _ = run(capsys, "render", "--spec", SMALL_SPEC, "--depth", "9", "--format", "json")
+        assert out == _dumps(depth_stack(RatioSequence.constant(F(1, 4)), 9).to_json()) + "\n"
 
     def test_each_command_prints_json_dumps_of_its_payload(self, capsys):
         def expect(payload, *argv):
