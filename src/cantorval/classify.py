@@ -18,16 +18,19 @@ and the input itself, so that every claim can be recomputed from scratch.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
+from operator import lt
 from typing import Sequence
 
-from .budget import charge, resolve_budget
+from .budget import charge, charge_power, resolve_budget
 from .construction import (
     THIRD,
     RatioSequence,
     cantor_approximation,
     depth_length,
+    scaled_lengths,
 )
 from .diffsets import (
     Code,
@@ -459,6 +462,38 @@ def _family_complement_check(
     )
 
 
+def _coded_pieces_check(
+    name: str, seq: RatioSequence, union: IntervalUnion, depth: int, budget: int | None
+) -> Check:
+    """The union must be exactly the union of the 3^depth coded intervals, checked
+    without merging them: their left ends come from the digit weights one level at
+    a time, every piece must lie inside one part, and every part must be covered
+    from its left end to its right end without a hole."""
+    charge_power(3, depth, budget)
+    ints, denom = scaled_lengths(seq, depth)
+    lefts = [-denom]
+    for r in range(1, depth + 1):
+        w = ints[r - 1] - ints[r]
+        lefts = [x + k * w for x in lefts for k in (0, 1, 2)]
+    lefts.sort()
+    scale = lcm(denom, union.denom)
+    f, u = scale // denom, scale // union.denom
+    width = 2 * ints[depth] * f
+    los, his = [x * u for x in union.los], [x * u for x in union.his]
+    reach = list(los)  # how far each part is covered from its left end
+    ok = True
+    for lo in lefts:
+        lo *= f
+        i = bisect_right(los, lo) - 1
+        if i < 0 or lo + width > his[i] or lo > reach[i]:
+            ok = False
+            break
+        reach[i] = max(reach[i], lo + width)
+    # pieces have positive length, so a point part is never covered
+    ok = ok and reach == his and all(map(lt, los, his))
+    return Check(name, ok, f"depth {depth}: {len(lefts)} coded pieces vs {len(los)} parts")
+
+
 def verify_certificate(
     cert: Certificate, depth: int = 6, budget: int | None = None
 ) -> tuple[Check, ...]:
@@ -508,6 +543,10 @@ def verify_certificate(
         checks.append(
             Check("stable-union-matches", stable == cert.union, f"depth {cert.stable_depth}")
         )
+        if cert.union is not None:
+            checks.append(
+                _coded_pieces_check("union-equals-coded-pieces", seq, cert.union, cert.stable_depth, budget)
+            )
         ahead = all(
             diff_approximation(seq, cert.stable_depth + extra, budget) == stable
             for extra in (1, 2)
@@ -553,6 +592,9 @@ def verify_certificate(
     coded = diff_approximation(seq, oracle_depth, budget)
     checks.append(
         Check("pairwise-oracle-agrees", oracle == coded, f"depth {oracle_depth}")
+    )
+    checks.append(
+        _coded_pieces_check("approximation-equals-coded-pieces", seq, coded, oracle_depth, budget)
     )
     return tuple(checks)
 

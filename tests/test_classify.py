@@ -333,3 +333,37 @@ class TestVerify:
         cert = classify(FINITE)
         bad = Certificate(**{**vars(cert), "union": normalize([ClosedInterval(F(-1), F(1))])})
         assert not verification_passed(verify_certificate(bad, depth=4))
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [(-1, 1)],  # the pieces lie inside, with holes between them
+            [(-1, F(-3, 4)), *FINITE_UNION[1:]],  # a piece sticks out
+            [*FINITE_UNION, (F(3, 8), F(3, 8))],  # no piece lies in a point
+        ],
+        ids=["holes", "too-short", "point"],
+    )
+    def test_union_unlike_its_coded_pieces_fails(self, parts):
+        cert = classify(FINITE)
+        union = normalize([ClosedInterval(F(lo), F(hi)) for lo, hi in parts])
+        checks = verify_certificate(Certificate(**{**vars(cert), "union": union}), depth=4)
+        assert "union-equals-coded-pieces" in {c.name for c in checks if not c.passed}
+
+    def test_merge_that_joins_near_parts_fails_the_coded_pieces(self, monkeypatch):
+        def joins_one_unit_apart(los, his):
+            los.sort()
+            his.sort()
+            cuts = [lo > hi + 1 for lo, hi in zip(los[1:], his)]
+            return [los[0], *itertools.compress(los[1:], cuts)], [*itertools.compress(his, cuts), his[-1]]
+
+        seq = RatioSequence(prefix=(F(1, 5), F(1, 3), F(1, 4)), period=(F(1, 3),))
+        assert len(classify(seq).union.los) == 21
+        monkeypatch.setattr("cantorval.intervals.merge_scaled", joins_one_unit_apart)
+        cert = classify(seq)
+        assert len(cert.union.los) == 3
+        checks = {c.name: c.passed for c in verify_certificate(cert, depth=7)}
+        assert not checks["union-equals-coded-pieces"]
+        # both enumerations merge through the planted bug, and at depth 7 the
+        # lattice is fine enough that the approximation keeps its true parts
+        assert checks["pairwise-oracle-agrees"]
+        assert checks["approximation-equals-coded-pieces"]
