@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import gt, le, lt
 from typing import Iterable, Sequence
@@ -233,8 +233,8 @@ def merge_scaled(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
         return [], []
     los.sort()
     his.sort()
-    cuts = list(map(gt, los[1:], his))
-    return [los[0], *compress(los[1:], cuts)], [*compress(his, cuts), his[-1]]
+    cuts = bytes(map(gt, islice(los, 1, None), his))
+    return [los[0], *compress(islice(los, 1, None), cuts)], [*compress(his, cuts), his[-1]]
 
 
 def fold_copies(weights: Iterable[int], copies: int, lo: int, hi: int, denom: int) -> IntervalUnion:
