@@ -387,7 +387,7 @@ def _union_rows(los: Sequence[int], his: Sequence[int], denom: int) -> _Rows:
 
 
 def _level_rows(gaps: dict, denom: int) -> _Rows:
-    refs = sorted(gaps)
+    refs = list(gaps)
 
     def cut(a: int, b: int) -> list:
         part = refs[a:b]

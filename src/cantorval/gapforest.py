@@ -116,7 +116,7 @@ def extreme_codes(
 
 class GapFamily(Record):
     """Family levels m..N under one root code; each maps its gaps, named by
-    (code, side) pairs, to their ends over denom."""
+    (code, side) pairs and in their order, to their ends over denom."""
 
     root: Code
     base: int
@@ -132,11 +132,10 @@ class GapFamily(Record):
     def to_json(self) -> dict:
         levels = {}
         for lvl, gaps in self.levels:
-            refs = sorted(gaps)
-            ends = format_scaled([x for g in refs for x in gaps[g]], self.denom)
+            ends = format_scaled([x for g in gaps.values() for x in g], self.denom)
             levels[str(lvl)] = [
                 {"code": code_str(code), "side": side, "lo": lo, "hi": hi}
-                for (code, side), lo, hi in zip(refs, ends[0::2], ends[1::2])
+                for (code, side), lo, hi in zip(gaps, ends[0::2], ends[1::2])
             ]
         return {"root": code_str(self.root), "k0": self.base, "levels": levels}
 
@@ -179,10 +178,16 @@ def gap_family(
             # the weight of the digit at depth prev, and the summed weights of depths prev+1..kn-1
             drop, rest = table.drops[prev - 1], table.ints[prev] - table.ints[kn - 1]
             below = {}
+            # the descendants in (code, side) order: a left gap persists through 0s, a right one through 2s
             for (code, side), left in lefts.items():
-                below[code + (2 * side,) * (run + 1), side] = left + 2 * side * (drop + rest)
-                below[code + (side + 1,) + (0,) * run, 0] = left + (side + 1) * drop
-                below[code + (side,) + (2,) * run, 1] = left + side * drop + 2 * rest
+                if side == 0:
+                    below[code + (0,) * (run + 1), 0] = left
+                    below[code + (0,) + (2,) * run, 1] = left + 2 * rest
+                    below[code + (1,) + (0,) * run, 0] = left + drop
+                else:
+                    below[code + (1,) + (2,) * run, 1] = left + drop + 2 * rest
+                    below[code + (2,) + (0,) * run, 0] = left + 2 * drop
+                    below[code + (2,) * (run + 1), 1] = left + 2 * (drop + rest)
             lefts = below
         levels.append((n, {gap: scaled_gap(table, left, kn - 1, gap[1]) for gap, left in lefts.items()}))
     return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels))

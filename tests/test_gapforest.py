@@ -197,6 +197,8 @@ class TestFamily:
         family = gap_family(seq, root, upto, base)
         rows = {}
         for n, gaps in family.levels:
+            # each level comes out in (code, side) order, which to_json keeps
+            assert list(gaps) == sorted(gaps)
             for ref, ends in gaps.items():
                 bounds = gap_bounds(seq, ref)
                 assert ends == (bounds.lo * family.denom, bounds.hi * family.denom)
