@@ -185,6 +185,13 @@ class TestClassify:
         assert cert.report is not None and len(cert.report) > 0
         assert any(e.value != 0 for e in cert.residuals)
 
+    def test_unknown_without_a_valid_base(self):
+        # mixed, but no ratio lies strictly above 1/3, so no cover equation has a base
+        cert = classify(RatioSequence(period=(F(1, 3), F(1, 4))))
+        assert (cert.verdict, cert.base, cert.residuals) == (VERDICT_UNKNOWN, None, None)
+        assert len(cert.report) == 6
+        assert verification_passed(verify_certificate(cert, depth=4))
+
     def test_prefixed_cantorval_has_no_closed_form_measure(self):
         cert = classify(MIXED_PREFIXED)
         assert cert.verdict == VERDICT_CANTORVAL

@@ -37,6 +37,8 @@ FULL_SPEC = '{"lambda": {"prefix": [], "period": ["2/5"]}}'
 FINITE_SPEC = '{"lambda": {"prefix": ["1/5"], "period": ["2/5"]}}'
 POSITIVE_BASE_SPEC = '{"lambda": {"prefix": ["1/4", "2/5"], "period": ["7/15", "5/21"]}}'
 UNKNOWN_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5021/21000"]}}'
+# mixed, with no ratio strictly above 1/3 and so no valid base
+NO_BASE_SPEC = '{"lambda": {"prefix": [], "period": ["1/3", "1/4"]}}'
 
 
 def run(capsys, *argv, expect=0):
@@ -64,6 +66,23 @@ class TestClassify:
         out, _ = run(capsys, "classify", "--spec", EX1_SPEC, "--format", "text")
         assert "verdict: Cantorval" in out
         assert "measure: 8/5" in out
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (FINITE_SPEC, "verdict: FiniteIntervalUnion\nrule: finitely-many-small-ratios\nmeasure: 6/5\nstable_depth: 1\n"),
+            (
+                NO_BASE_SPEC,
+                "verdict: Unknown\nrule: no-applicable-criterion\n"
+                "depth 1: measure 2, 0 gaps\ndepth 2: measure 3/2, 6 gaps\ndepth 3: measure 3/2, 6 gaps\n"
+                "depth 4: measure 9/8, 60 gaps\ndepth 5: measure 9/8, 60 gaps\ndepth 6: measure 27/32, 546 gaps\n",
+            ),
+        ],
+        ids=["stable-depth", "report"],
+    )
+    def test_text_format_lists_stable_depth_and_report(self, capsys, spec, text):
+        out, _ = run(capsys, "classify", "--spec", spec, "--format", "text")
+        assert out == text
 
     def test_svg_rejected_outside_render(self, capsys, monkeypatch):
         # argparse refuses it before the command runs
@@ -146,6 +165,15 @@ class TestGapsAndSeries:
         run(capsys, "series", "--spec", spec)
         assert time.perf_counter() - start < 5.0
 
+    def test_series_text_is_one_line_per_sorted_key(self, capsys):
+        out, _ = run(capsys, "series", "--spec", EX1_SPEC, "--format", "text")
+        assert out == (
+            'input: {"lambda": {"period": ["7/15", "5/21"], "prefix": []}}\n'
+            'kakeya: "CantorSet"\n'
+            'series: {"block": ["8/15", "16/45"], "prefix": [], "ratio": "1/9"}\n'
+            'total: "1"\n'
+        )
+
     def test_series_needs_exactly_one_kind(self, capsys):
         run(capsys, "series", "--spec", '{"lambda": {}, "series": {}}', expect=2)
 
@@ -168,6 +196,20 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert any(not c["passed"] for c in report["checks"])
+
+
+    def test_text_format_marks_each_check(self, capsys):
+        cert, _ = run(capsys, "classify", "--spec", EX1_SPEC)
+        out, _ = run(capsys, "verify", "--spec", cert, "--depth", "2", "--format", "text")
+        lines = out.splitlines()
+        assert lines[0] == "PASS verdict-matches — recomputed 'Cantorval' vs certified 'Cantorval'"
+        assert "PASS cover-equations-hold" in lines  # an empty detail adds no dash
+        assert all(line.startswith("PASS ") for line in lines[:-1]) and lines[-1] == "verification passed"
+        data = json.loads(cert)
+        data["measure"] = "7/5"
+        out, _ = run(capsys, "verify", "--spec", json.dumps(data), "--depth", "2", "--format", "text", expect=1)
+        assert "FAIL measure-matches — recomputed Fraction(8, 5) vs certified Fraction(7, 5)" in out.splitlines()
+        assert out.endswith("\nverification FAILED\n")
 
 
 class TestRender:

@@ -112,6 +112,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             u.hull
 
+    def test_complement_gaps_at_the_hull_ends(self):
+        hull = ClosedInterval(F(-1), F(1))
+        # an empty union leaves the open hull, or nothing when the hull is a point
+        assert complement_gaps(normalize([]), hull) == [OpenInterval(F(-1), F(1))]
+        assert complement_gaps(normalize([]), ClosedInterval(F(0), F(0))) == []
+        u = normalize([ClosedInterval(F(-1, 2), F(0)), ClosedInterval(F(1, 4), F(1, 2))])
+        assert complement_gaps(u, hull) == [
+            OpenInterval(F(-1), F(-1, 2)),
+            OpenInterval(F(0), F(1, 4)),
+            OpenInterval(F(1, 2), F(1)),
+        ]
+        for lo, hi in [(F(-1, 4), F(1)), (F(-1), F(1, 4))]:
+            with pytest.raises(ValueError, match="not contained"):
+                complement_gaps(u, ClosedInterval(lo, hi))
+
     def test_contains_endpoints_and_gaps(self):
         u = normalize([ClosedInterval(F(0), F(1)), ClosedInterval(F(2), F(3))])
         for x, want in [(F(0), True), (F(1), True), (F(3, 2), False), (F(2), True), (F(4), False)]:
