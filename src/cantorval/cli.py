@@ -409,9 +409,9 @@ def _union_text(union: IntervalUnion) -> Iterator[str]:
 def _json(value, indent: str = "\n") -> Iterator[str]:
     """The pieces of json.dumps(value, indent=2, sort_keys=True), value standing
     at indent, for the payloads the commands build: dicts with str keys, lists,
-    tuples, str, int, bool and None. An IntervalUnion is written as its to_json()
-    and a GapFamily as its to_json(), and so is each of their lists of rows: one
-    piece per chunk of at most _CHUNK_ROWS rows, cut from one template."""
+    tuples, str, int, bool and None. An IntervalUnion and a GapFamily are written
+    as their to_json(); their lists of rows, and a _Rows value, go out one piece
+    per chunk of at most _CHUNK_ROWS rows, cut from one template."""
     if isinstance(value, IntervalUnion):
         value = _union_rows(value.los, value.his, value.denom)
     elif isinstance(value, GapFamily):
