@@ -197,7 +197,6 @@ class TestVerify:
         assert report["passed"] is False
         assert any(not c["passed"] for c in report["checks"])
 
-
     def test_text_format_marks_each_check(self, capsys):
         cert, _ = run(capsys, "classify", "--spec", EX1_SPEC)
         out, _ = run(capsys, "verify", "--spec", cert, "--depth", "2", "--format", "text")
