@@ -118,6 +118,11 @@ def requests() -> list[tuple[str, list[str]]]:
     add("approx", "--spec", _spec([], ["2/5", "5/16"]), "--depth", "10")
     # the separator that may stand before the command
     add("--", "approx", "--spec", SPECS["quarter"], "--depth", "3")
+    # spellings beyond "--flag value" once per flag: a "=" join, an abbreviated
+    # flag, a repeated flag, and a value that starts with "-"
+    for spelling in (["--depth=3"], ["--dep", "3"], ["--depth", "2", "--depth", "3"], ["--format=text"]):
+        add("approx", "--spec", SPECS["quarter"], *spelling)
+    add("approx", "--spec", "-")
     # deeper family rows than the per-spec loop reaches
     for name in ("ex1", "ex2", "ex3"):
         add("gaps", "--spec", SPECS[name], "--depth", "8")
