@@ -9,7 +9,6 @@ plain text, or self-contained SVG. Exit codes are stable: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -17,6 +16,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 from .classify import (
     VERDICT_CANTOR,
@@ -335,15 +335,16 @@ _OPTIONS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # main prints it as one error: line and exits 2
-        raise SpecValidationError(f"{self.prog}: {message}")
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser. Given a command's name, it builds that command's
     subparser alone, which parses every argv that starts with the name the
     same way."""
+    import argparse  # only help and the argv _parse_plain declines load it
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # main prints it as one error: line and exits 2
+            raise SpecValidationError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="cantorval",
         description="Exact classification and measure of central Cantor set "
@@ -361,6 +362,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default, help=f"output format (default {default})")
         p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser(argv[0]).parse_args(argv) gives, for a command
+    followed by "--flag value" pairs: each flag one of the command's, spelled in
+    full and given once, no value starting with "-", each int value taken by
+    int() and the format one of the command's. None for any other argv."""
+    flags, values = argv[1::2], argv[2::2]
+    # a flag without its value, or a flag given twice
+    if not argv or argv[0] not in _COMMANDS or len(flags) != len(values) or len(set(flags)) < len(flags):
+        return None
+    _, _, options, formats = _COMMANDS[argv[0]]
+    kinds = {f"--{name}": _OPTIONS[name][0] for name in options} | {"--format": str, "--out": str}
+    args = {flag[2:]: None for flag in kinds} | {"command": argv[0], "format": formats[0]}
+    for flag, value in zip(flags, values):
+        if flag not in kinds or value.startswith("-"):
+            return None
+        try:
+            args[flag[2:]] = kinds[flag](value)  # the call argparse makes
+        except ValueError:
+            return None
+    return SimpleNamespace(**args) if args["format"] in formats else None
 
 
 # bulk output is cut into pieces of at most this many rows, and written once
@@ -475,8 +498,10 @@ def main(argv: list[str] | None = None) -> int:
         # a leading "--" only separates options from the command
         if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
             argv = argv[1:]
-        # help and a missing or unknown command list every command
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:
+            # help and a missing or unknown command list every command
+            args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         # series and examples take no --budget and so read no CANTORVAL_BUDGET either
         budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None
         body, status = _HANDLERS[args.command](args, budget)

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -28,7 +30,7 @@ from cantorval import (
     verify_certificate,
 )
 from cantorval import cli
-from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, build_parser, main
+from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, _parse_plain, build_parser, main
 from strategies import ratio_sequences
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
@@ -462,7 +464,10 @@ class TestExitCodes:
     def test_a_named_command_builds_its_subparser_alone(self, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+        # a well-formed argv builds no parser at all
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "1")
+        assert built == []
+        run(capsys, "approx", "--spec", EX1_SPEC, "--depth=1")
         run(capsys, "frobnicate", expect=2)
         assert built == ["approx", None]
         with pytest.raises(SpecValidationError, match="invalid choice: 'gaps'"):
@@ -474,6 +479,85 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--depth" in out and "--k0" not in out
+
+    def test_well_formed_request_loads_no_argparse(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["approx", "--spec", SMALL_SPEC, "--depth", "2", "--format", "text"]
+        # -X importtime lists on stderr every module the process imports
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cantorval.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and done.stdout.count("\n") == 9
+        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+        assert "cantorval.diffsets" in imported
+        assert imported.isdisjoint({"argparse", "gettext", "locale"})
+
+
+_FLAGS = ["--spec", "--depth", "--budget", "--k0", "--format", "--out"]
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from(_FLAGS),
+    # abbreviated, foreign, joined, single-dash, dashless and help flags, and a foreign command
+    st.sampled_from(["--dep", "--s", "--fo", "--bogus", "--depth=3", "--format=text", "-d", "depth", "-h", "--help", "--"]),
+    st.just("frobnicate"),
+    # negative and non-integer values, formats good and bad, and text
+    st.sampled_from(["3", "-1", "x", "1.5", "", "-", "json", "text", "svg", "bogus", SMALL_SPEC]),
+    st.text(max_size=4),
+)
+# int values that int() takes, some of them in spellings other than plain digits
+_INTS = st.one_of(st.integers(0, 10**20).map(str), st.sampled_from([" 2 ", "1_0", "+3", "\u0663"]))
+
+
+@st.composite
+def argvs(draw) -> tuple[list[str], bool]:
+    """A command, some of its flags, each once and with a value argparse takes, and
+    on most draws a few tokens or flag-value pairs of the grammar put in among them.
+    The bool says whether the argv is still plain, that is, nothing was put in."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, options, formats = cli._COMMANDS[command]
+    values = {"spec": st.text(max_size=6).filter(lambda v: not v.startswith("-")), "format": st.sampled_from(formats)}
+    names = draw(st.permutations([*options, "format", "out"]))
+    argv = [command]
+    for name in names[: draw(st.integers(0, len(names)))]:
+        argv += [f"--{name}", draw(values.get(name, _INTS))]
+    noise = draw(st.lists(st.one_of(st.tuples(_ARGV_TOKENS), st.tuples(st.sampled_from(_FLAGS), _ARGV_TOKENS)), max_size=3))
+    for tokens in noise:
+        # a pair goes in at a flag's place, a single token anywhere
+        at = draw(st.integers(0, len(argv) // 2)) * 2 + 1 if len(tokens) == 2 else draw(st.integers(0, len(argv)))
+        argv[at:at] = tokens
+    return argv, not noise
+
+
+def _argparse_fields(argv: list[str]) -> dict | None:
+    """vars() of build_parser(argv[0]).parse_args(argv), or None if argparse refuses argv or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(build_parser(argv[0] if argv[0] in cli._COMMANDS else None).parse_args(argv))
+    except (SpecValidationError, SystemExit):
+        return None
+
+
+class TestPlainParse:
+    @pytest.mark.parametrize(
+        "spelling",
+        [["--depth=3"], ["--dep", "3"], ["--depth", "2", "--depth", "3"], ["--format=text"], ["--depth", "-1"]],
+        ids=["joined", "abbreviated", "repeated", "joined-format", "dash-value"],
+    )
+    def test_declines_other_spellings(self, spelling):
+        argv = ["approx", "--spec", SMALL_SPEC, *spelling]
+        assert _parse_plain(argv) is None and _argparse_fields(argv) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @example((["approx", "--spec", "s", "--depth", "-1"], False))
+    @example((["approx", "--format", "svg"], False))
+    @example((["approx", "--depth", "x"], False))
+    @example((["classify", "--k0", " 2 ", "--format", "text", "--out", "o"], True))
+    @given(argvs())
+    def test_agrees_with_argparse_or_declines(self, drawn):
+        argv, plain = drawn
+        direct = _parse_plain(argv)
+        assert direct is None or vars(direct) == _argparse_fields(argv)
+        assert direct is not None or not plain
 
 
 def _json_paths(doc, prefix=()):
