@@ -420,13 +420,13 @@ def _level_rows(gaps: dict, denom: int) -> _Rows:
     return _Rows(template=_GAP_ROW, count=len(refs), denom=denom, cut=cut)
 
 
-def _chunks(row: str, rows: _Rows, ends: str) -> Iterator[str]:
+def _chunks(row: str, rows: _Rows) -> Iterator[str]:
     for a in range(0, rows.count, _CHUNK_ROWS):
-        yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom, ends)
+        yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)
 
 
 def _union_text(union: IntervalUnion) -> Iterator[str]:
-    return _chunks("[%d/%d, %d/%d]\n", _union_rows(union.los, union.his, union.denom), ",]")
+    return _chunks("[%d/%d, %d/%d]\n", _union_rows(union.los, union.his, union.denom))
 
 
 def _json(value, indent: str = "\n") -> Iterator[str]:
@@ -455,7 +455,7 @@ def _json(value, indent: str = "\n") -> Iterator[str]:
         yield json.dumps(value)
     elif value.count:
         # ends are digits, "-" and "/", and codes are digits: nothing to escape
-        chunks = _chunks(f",{inner}" + value.template.format(inner), value, '"')
+        chunks = _chunks(f",{inner}" + value.template.format(inner), value)
         yield "[" + next(chunks)[1:]  # every row follows a comma but the first
         yield from chunks
         yield indent + "]"

@@ -35,13 +35,12 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def fill_rows(row: str, columns: list, denom: int, ends: str) -> str:
+def fill_rows(row: str, columns: list, denom: int) -> str:
     """`row` once per entry of the columns, filled by one %-format: its %s, %d
     and %d/%d slots take the columns in order, and a %d/%d slot writes its
     column's integers over denom as reduced rationals, each gcd and division
-    mapped in C. A whole number then loses its "/1" before the terminator that
-    follows its slot, one of ends; nothing else in the text may hold "/1"
-    before a terminator."""
+    mapped in C: the reduced numerator, then "/q", or nothing for a whole
+    number, a suffix made once per distinct gcd."""
     count = len(columns[0])
     slots = _SLOT_RE.findall(row)
     width = len(slots) + slots.count("%d/%d")
@@ -51,21 +50,19 @@ def fill_rows(row: str, columns: list, denom: int, ends: str) -> str:
         if slot == "%d/%d":
             gs = list(map(gcd, column, repeat(denom)))
             terms[k::width] = map(floordiv, column, gs)
-            terms[k + 1 :: width] = map(floordiv, repeat(denom), gs)
+            suffixes = {g: "" if g == denom else f"/{denom // g}" for g in set(gs)}
+            terms[k + 1 :: width] = map(suffixes.__getitem__, gs)
             k += 2
         else:
             terms[k::width] = column
             k += 1
-    text = row * count % tuple(terms)
-    for end in ends:
-        text = text.replace("/1" + end, end)
-    return text
+    return row.replace("%d/%d", "%d%s") * count % tuple(terms)
 
 
 def format_scaled(numerators: list[int], denom: int) -> list[str]:
     """format_rational(Fraction(x, denom)) for each numerator x, without building
     the Fractions."""
-    return fill_rows("%d/%d,", [numerators], denom, ",").split(",")[:-1]
+    return fill_rows("%d/%d,", [numerators], denom).split(",")[:-1]
 
 
 def to_lattice(values: list[Fraction]) -> tuple[list[int], int]:

@@ -35,5 +35,6 @@ def test_round_trip_is_identity(value):
 )
 def test_fill_rows_matches_fraction_strings(rows, denom):
     codes, nums, sides = (list(column) for column in zip(*rows)) if rows else ([], [], [])
-    text = fill_rows("<%s %d/%d %d>", [codes, nums, sides], denom, " ")
-    assert text == "".join(f"<{c} {F(n, denom)} {s}>" for c, n, s in rows)
+    # "/1" may stand anywhere in the template, a whole number's slot before it too
+    text = fill_rows("<%s %d/%d/1 %d>", [codes, nums, sides], denom)
+    assert text == "".join(f"<{c} {F(n, denom)}/1 {s}>" for c, n, s in rows)
