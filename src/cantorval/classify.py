@@ -284,6 +284,9 @@ def classify(
     report_depth: int = 6,
 ) -> Certificate:
     """Apply the decision order and return a certificate. Unknown is a valid outcome."""
+    if base is not None and base < 0:
+        # refused in every regime, not only where the base is used
+        raise AssumptionError(f"base {base} is invalid: it must be >= 0")
     period_all_large = all(r >= THIRD for r in seq.period)
     period_all_small = all(r < THIRD for r in seq.period)
 

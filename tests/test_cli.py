@@ -381,6 +381,12 @@ class TestExitCodes:
         _, err = run(capsys, "classify", "--spec", EX1_SPEC, "--k0", "-1", expect=3)
         assert err.startswith("error: base -1 is invalid") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", [FULL_SPEC, FINITE_SPEC, SMALL_SPEC], ids=["full", "finite", "cantor"])
+    def test_negative_base_is_refused_in_every_regime(self, capsys, spec):
+        # these regimes need no base, and once exited 0 with k0 = -1 ignored
+        _, err = run(capsys, "classify", "--spec", spec, "--k0", "-1", expect=3)
+        assert err == "error: base -1 is invalid: it must be >= 0\n"
+
     def test_ratio_lists_must_be_lists(self, capsys):
         for spec, key in (
             ('{"lambda": {"prefix": 5, "period": ["1/4"]}}', "prefix"),
