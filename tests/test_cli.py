@@ -383,7 +383,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("spec", [FULL_SPEC, FINITE_SPEC, SMALL_SPEC], ids=["full", "finite", "cantor"])
     def test_negative_base_is_refused_in_every_regime(self, capsys, spec):
-        # these regimes need no base, and once exited 0 with k0 = -1 ignored
+        # these regimes use no base, yet a negative one is still refused
         _, err = run(capsys, "classify", "--spec", spec, "--k0", "-1", expect=3)
         assert err == "error: base -1 is invalid: it must be >= 0\n"
 
