@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
 No module imports a name it never uses, and every private top-level
-function is referenced from somewhere other than its own body.
+function, class and constant is referenced from somewhere other than its own
+definition.
 """
 
 import ast
@@ -32,7 +33,7 @@ def referenced_names(nodes) -> set[str]:
     out = set()
     for root in nodes:
         for node in ast.walk(root):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
@@ -51,17 +52,49 @@ def test_no_unused_imports(name):
     assert unused == [], f"{name} imports names it never uses: {unused}"
 
 
+def private_definitions(tree: ast.Module):
+    """(name, statement) of each private top-level function, class and constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            targets = [stmt.target.id]
+        else:
+            continue
+        yield from ((name, stmt) for name in targets if name.startswith("_") and not name.startswith("__"))
+
+
+def unreferenced(name: str, trees: dict, kinds) -> list[str]:
+    """The private definitions of the given statement kinds in module name that no
+    statement of any module references, their own definitions left out."""
+    dead = []
+    for defined, stmt in private_definitions(trees[name]):
+        if isinstance(stmt, kinds):
+            others = [other for tree in trees.values() for other in tree.body if other is not stmt]
+            if defined not in referenced_names(others):
+                dead.append(f"{defined} (line {stmt.lineno})")
+    return dead
+
+
+CLASSES_AND_CONSTANTS = (ast.ClassDef, ast.Assign, ast.AnnAssign)
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_private_functions_are_referenced(name):
-    private = [
-        node
-        for node in TREES[name].body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-    ]
-    dead = []
-    for fn in private:
-        # every statement of every module except the function's own definition
-        others = [stmt for tree in TREES.values() for stmt in tree.body if stmt is not fn]
-        if fn.name not in referenced_names(others):
-            dead.append(f"{fn.name} (line {fn.lineno})")
+    dead = unreferenced(name, TREES, ast.FunctionDef)
     assert dead == [], f"{name} defines private functions nothing references: {dead}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_private_classes_and_constants_are_referenced(name):
+    dead = unreferenced(name, TREES, CLASSES_AND_CONSTANTS)
+    assert dead == [], f"{name} defines private classes or constants nothing references: {dead}"
+
+
+def test_unreferenced_flags_dead_classes_and_constants():
+    source = "_USED = 1\n_DEAD = 2\n_TYPED: int = 3\nclass _Gone:\n    pass\n\n\ndef f():\n    return _USED\n"
+    # assigning the same name in another module is no reference
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse("_DEAD = 4\n")}
+    assert unreferenced("m.py", trees, CLASSES_AND_CONSTANTS) == ["_DEAD (line 2)", "_TYPED (line 3)", "_Gone (line 4)"]
