@@ -51,8 +51,8 @@ from .gapforest import (
     smallest_valid_base,
 )
 from .intervals import IntervalUnion, minkowski_diff
-from .rationals import format_rational, parse_rational
-from .records import Record
+from .rationals import parse_rational
+from .records import Record, fields_json
 
 VERDICT_FULL = "FullInterval"
 VERDICT_FINITE = "FiniteIntervalUnion"
@@ -90,8 +90,7 @@ class ResidualEntry(Record):
     case: str
     value: Fraction
 
-    def to_json(self) -> dict:
-        return {"index": self.index, "case": self.case, "value": format_rational(self.value)}
+    to_json = fields_json
 
     @classmethod
     def from_json(cls, data: dict) -> "ResidualEntry":
@@ -168,14 +167,7 @@ class DepthRow(Record):
     largest_gap: Fraction
     stable: bool
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "measure": format_rational(self.measure),
-            "gap_count": self.gap_count,
-            "largest_gap": format_rational(self.largest_gap),
-            "stable": self.stable,
-        }
+    to_json = fields_json
 
     @classmethod
     def from_json(cls, data: dict) -> "DepthRow":
@@ -230,19 +222,9 @@ class Certificate(Record):
     report: tuple[DepthRow, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "input": {"lambda": self.sequence.to_json()},
-            "verdict": self.verdict,
-            "rule": self.rule,
-            "measure": None if self.measure is None else format_rational(self.measure),
-            "k0": self.base,
-            "residuals": None
-            if self.residuals is None
-            else [e.to_json() for e in self.residuals],
-            "stable_depth": self.stable_depth,
-            "union": None if self.union is None else self.union.to_json(),
-            "report": None if self.report is None else [r.to_json() for r in self.report],
-        }
+        out = fields_json(self)
+        out["input"], out["k0"] = {"lambda": out.pop("sequence")}, out.pop("base")
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
@@ -443,8 +425,7 @@ class Check(Record):
     passed: bool
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+    to_json = fields_json
 
 
 def _family_complement_check(

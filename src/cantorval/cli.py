@@ -219,14 +219,7 @@ def _cmd_series(args, budget):
         pattern = DoublingPattern.from_json(data["k"])
         series, seq, cert = series_from_pattern(pattern)
         diff_measure = series.total * cert.measure
-        form = None
-        if not pattern.prefix_bits:
-            mg = multigeometric_form(pattern)
-            form = {
-                "epsilons": list(mg.epsilons),
-                "ratio": format_rational(mg.ratio),
-                "measure": format_rational(mg.measure),
-            }
+        form = None if pattern.prefix_bits else multigeometric_form(pattern).to_json()
         payload = {
             "input": {"k": pattern.to_json()},
             "series": series.to_json(),

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 from .budget import charge_power
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
-from .rationals import format_rational, parse_rational_list, to_lattice
-from .records import Record
+from .rationals import parse_rational_list, to_lattice
+from .records import Record, fields_json
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -110,11 +110,7 @@ class RatioSequence(Record):
         lengths = self.depth_table(p + q).lengths
         return lengths[p + q] / lengths[p]
 
-    def to_json(self) -> dict:
-        return {
-            "prefix": [format_rational(r) for r in self.prefix],
-            "period": [format_rational(r) for r in self.period],
-        }
+    to_json = fields_json
 
     @classmethod
     def from_json(cls, data) -> "RatioSequence":

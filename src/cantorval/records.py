@@ -7,9 +7,14 @@ equal only within its class, prints as Name(field=value, ...) and refuses
 assignment. order=True orders it as its field tuple. Importing dataclasses
 (inspect, ast, dis, tokenize) and compiling each class's methods would cost
 every CLI run.
+
+A record whose JSON is exactly its fields takes fields_json as its to_json.
 """
 
+from fractions import Fraction
 from operator import attrgetter, ge, gt, le, lt
+
+from .rationals import format_rational
 
 
 class Record:
@@ -72,3 +77,18 @@ def _ordering(op):
         return NotImplemented
 
     return compare
+
+
+def fields_json(record) -> dict:
+    """The record's fields by name, each by one rule: a Fraction as "p/q", a tuple
+    as a list and a value with a to_json as that JSON."""
+    return {name: _wire(getattr(record, name)) for name in record._fields}
+
+
+def _wire(value):
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return list(map(_wire, value))
+    return value.to_json() if hasattr(value, "to_json") else value
+

@@ -21,8 +21,8 @@ from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
-from .rationals import format_rational, parse_rational, parse_rational_list, to_lattice
-from .records import Record
+from .rationals import parse_rational, parse_rational_list, to_lattice
+from .records import Record, fields_json
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -80,12 +80,7 @@ class MultigeometricSeries(Record):
             raise ValueError("remainder index must be >= 0")
         return _remainders(self, n)[n]
 
-    def to_json(self) -> dict:
-        return {
-            "prefix": [format_rational(x) for x in self.prefix],
-            "block": [format_rational(x) for x in self.block],
-            "ratio": format_rational(self.ratio),
-        }
+    to_json = fields_json
 
     @classmethod
     def from_json(cls, data) -> "MultigeometricSeries":
@@ -294,6 +289,8 @@ class MultigeometricForm(Record):
     epsilons: tuple[int, ...]
     ratio: Fraction
     measure: Fraction
+
+    to_json = fields_json
 
 
 def multigeometric_form(pattern: DoublingPattern) -> MultigeometricForm:

@@ -21,6 +21,7 @@ from cantorval.classify import Certificate, DepthRow, ResidualEntry, classify, v
 from cantorval.construction import RatioSequence
 from cantorval.intervals import ClosedInterval, OpenInterval
 from cantorval.rationals import format_rational
+from cantorval.records import Record
 from cantorval.render import StackRow
 from cantorval.series import DoublingPattern, MultigeometricSeries, multigeometric_form, series_from_ratios
 
@@ -154,6 +155,7 @@ def test_doubling_pattern_round_trip(pattern):
 @pytest.mark.parametrize("pattern", [p for p in PATTERNS if not p.prefix_bits], ids=str)
 def test_multigeometric_form(pattern):
     form = multigeometric_form(pattern)
+    assert form.to_json() == multigeometric_json(form)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["series", "--spec", json.dumps({"k": pattern.to_json()})]) == 0
@@ -163,6 +165,18 @@ def test_multigeometric_form(pattern):
 @pytest.mark.parametrize("cls", [StackRow, ClosedInterval, OpenInterval, cli._Rows], ids=lambda cls: cls.__name__)
 def test_bulk_and_interval_records_have_no_to_json(cls):
     assert not hasattr(cls, "to_json")
+
+
+def test_records_with_a_to_json():
+    def subclasses(cls):
+        return {cls} | {c for sub in cls.__subclasses__() for c in subclasses(sub)}
+
+    package = [cls for cls in subclasses(Record) if cls.__module__.startswith("cantorval.")]
+    writers = {cls.__name__ for cls in package if hasattr(cls, "to_json")}
+    assert writers == {
+        "Certificate", "Check", "DepthRow", "DepthStack", "DoublingPattern", "GapFamily",
+        "MultigeometricForm", "MultigeometricSeries", "RatioSequence", "ResidualEntry",
+    }
 
 
 def test_specimens_keep_their_wire_form():
