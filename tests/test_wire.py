@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from cantorval import cli
 from cantorval.classify import Certificate, DepthRow, ResidualEntry, classify, verify_certificate
 from cantorval.construction import RatioSequence
+from cantorval.errors import SpecValidationError
 from cantorval.intervals import ClosedInterval, OpenInterval
 from cantorval.rationals import format_rational
 from cantorval.records import Record
@@ -145,6 +146,26 @@ def test_checks_cover_passes_failures_and_empty_details():
 def test_series_from_a_json_spec():
     series = MultigeometricSeries.from_json({"prefix": ["2"], "block": ["1", "1/2"], "ratio": "1/9"})
     assert series.to_json() == series_json(series) == {"prefix": ["2"], "block": ["1", "1/2"], "ratio": "1/9"}
+
+
+# each record whose from_json reads an object of its own fields, and the
+# label its two refusals name it by
+ENVELOPES = [
+    (RatioSequence, "ratio sequence", "prefix/period"),
+    (MultigeometricSeries, "series", "prefix/block/ratio"),
+    (DoublingPattern, "pattern", "prefix_bits/period_bits"),
+]
+
+
+@pytest.mark.parametrize("cls, label, fields", ENVELOPES, ids=[cls.__name__ for cls, _, _ in ENVELOPES])
+def test_envelope_refusals(cls, label, fields):
+    for data in (["1/4"], "1/4", None):
+        with pytest.raises(SpecValidationError) as refusal:
+            cls.from_json(data)
+        assert str(refusal.value) == f"{label} must be an object with {fields}"
+    with pytest.raises(SpecValidationError) as refusal:
+        cls.from_json({"zeta": 1, "alpha": []})
+    assert str(refusal.value) == f"unknown {label} keys: ['alpha', 'zeta']"
 
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
