@@ -27,7 +27,7 @@ from .budget import charge_power
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
 from .rationals import parse_rational_list, to_lattice
-from .records import Record, fields_json
+from .records import Record, check_fields, fields_json
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -114,11 +114,7 @@ class RatioSequence(Record):
 
     @classmethod
     def from_json(cls, data) -> "RatioSequence":
-        if not isinstance(data, dict):
-            raise SpecValidationError("ratio sequence must be an object with prefix/period")
-        unknown = set(data) - {"prefix", "period"}
-        if unknown:
-            raise SpecValidationError(f"unknown ratio sequence keys: {sorted(unknown)}")
+        check_fields(cls, data, "ratio sequence")
         prefix = parse_rational_list("ratio sequence prefix", data.get("prefix", []))
         period = parse_rational_list("ratio sequence period", data.get("period", []))
         return cls(prefix=tuple(prefix), period=tuple(period))

@@ -8,12 +8,14 @@ assignment. order=True orders it as its field tuple. Importing dataclasses
 (inspect, ast, dis, tokenize) and compiling each class's methods would cost
 every CLI run.
 
-A record whose JSON is exactly its fields takes fields_json as its to_json.
+A record whose JSON is exactly its fields takes fields_json as its to_json,
+and its from_json checks the object it reads with check_fields.
 """
 
 from fractions import Fraction
 from operator import attrgetter, ge, gt, le, lt
 
+from .errors import SpecValidationError
 from .rationals import format_rational
 
 
@@ -92,3 +94,11 @@ def _wire(value):
         return list(map(_wire, value))
     return value.to_json() if hasattr(value, "to_json") else value
 
+
+def check_fields(cls, data, label: str) -> None:
+    """Refuse data unless it is an object whose keys are among cls's fields."""
+    if not isinstance(data, dict):
+        raise SpecValidationError(f"{label} must be an object with {'/'.join(cls._fields)}")
+    unknown = set(data) - set(cls._fields)
+    if unknown:
+        raise SpecValidationError(f"unknown {label} keys: {sorted(unknown)}")

@@ -22,7 +22,7 @@ from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
 from .rationals import parse_rational, parse_rational_list, to_lattice
-from .records import Record, fields_json
+from .records import Record, check_fields, fields_json
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -84,11 +84,7 @@ class MultigeometricSeries(Record):
 
     @classmethod
     def from_json(cls, data) -> "MultigeometricSeries":
-        if not isinstance(data, dict):
-            raise SpecValidationError("series must be an object with prefix/block/ratio")
-        unknown = set(data) - {"prefix", "block", "ratio"}
-        if unknown:
-            raise SpecValidationError(f"unknown series keys: {sorted(unknown)}")
+        check_fields(cls, data, "series")
         if "ratio" not in data:
             raise SpecValidationError("series needs a ratio")
         return cls(
@@ -228,11 +224,7 @@ class DoublingPattern(Record):
 
     @classmethod
     def from_json(cls, data) -> "DoublingPattern":
-        if not isinstance(data, dict):
-            raise SpecValidationError("pattern must be an object with prefix_bits/period_bits")
-        unknown = set(data) - {"prefix_bits", "period_bits"}
-        if unknown:
-            raise SpecValidationError(f"unknown pattern keys: {sorted(unknown)}")
+        check_fields(cls, data, "pattern")
         if "period_bits" not in data:
             raise SpecValidationError("pattern needs period_bits")
 
