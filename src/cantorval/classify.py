@@ -83,14 +83,12 @@ def _json_entry(data, key: str, label: str, kind: type = object):
     return _json_value(data[key], kind, f"{label} {key}")
 
 
-class ResidualEntry(Record):
+class ResidualEntry(Record, json=True):
     """Exact lhs - rhs of the cover equation linking ratios at index and index+1."""
 
     index: int
     case: str
     value: Fraction
-
-    to_json = fields_json
 
     @classmethod
     def from_json(cls, data: dict) -> "ResidualEntry":
@@ -160,14 +158,12 @@ def cantorval_measure(seq: RatioSequence) -> Fraction:
     return 2 - gap_union_measure(seq)
 
 
-class DepthRow(Record):
+class DepthRow(Record, json=True):
     depth: int
     measure: Fraction
     gap_count: int
     largest_gap: Fraction
     stable: bool
-
-    to_json = fields_json
 
     @classmethod
     def from_json(cls, data: dict) -> "DepthRow":
@@ -420,12 +416,10 @@ def cover_alignment(
     return checked, failures
 
 
-class Check(Record):
+class Check(Record, json=True):
     name: str
     passed: bool
     detail: str = ""
-
-    to_json = fields_json
 
 
 def _family_complement_check(

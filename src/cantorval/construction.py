@@ -27,7 +27,7 @@ from .budget import charge_power
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
 from .rationals import parse_rational_list, to_lattice
-from .records import Record, check_fields, fields_json
+from .records import Record, check_fields
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -61,7 +61,7 @@ class DepthTable:
         self.drops = tuple(a - b for a, b in zip(ints, ints[1:]))
 
 
-class RatioSequence(Record):
+class RatioSequence(Record, json=True):
     """Eventually periodic ratio sequence: finite prefix, then a repeating period.
 
     The depth table cached in _depths is not a field."""
@@ -109,8 +109,6 @@ class RatioSequence(Record):
         p, q = len(self.prefix), len(self.period)
         lengths = self.depth_table(p + q).lengths
         return lengths[p + q] / lengths[p]
-
-    to_json = fields_json
 
     @classmethod
     def from_json(cls, data) -> "RatioSequence":

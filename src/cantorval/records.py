@@ -4,12 +4,11 @@ A record's fields are its class annotations, in order after its base's; a
 value in the class body is a default. A record is built positionally or by
 keyword, then runs __post_init__; it compares and hashes as its field tuple,
 equal only within its class, prints as Name(field=value, ...) and refuses
-assignment. order=True orders it as its field tuple. Importing dataclasses
-(inspect, ast, dis, tokenize) and compiling each class's methods would cost
-every CLI run.
-
-A record whose JSON is exactly its fields takes fields_json as its to_json,
-and its from_json checks the object it reads with check_fields.
+assignment. order=True orders it as its field tuple, and json=True, for a
+record whose JSON is exactly its fields, takes fields_json as its to_json.
+Importing dataclasses (inspect, ast, dis, tokenize) and compiling each
+class's methods would cost every CLI run. A from_json checks the object it
+reads with check_fields.
 """
 
 from fractions import Fraction
@@ -24,7 +23,7 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, order: bool = False, **kwargs):
+    def __init_subclass__(cls, order: bool = False, json: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = cls._fields + own
@@ -33,6 +32,8 @@ class Record:
         cls._key = attrgetter(*cls._fields)
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_ordering, (lt, le, gt, ge))
+        if json:
+            cls.to_json = fields_json
 
     def __init__(self, *args, **kwargs):
         names = self._fields

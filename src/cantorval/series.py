@@ -22,7 +22,7 @@ from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
 from .rationals import parse_rational, parse_rational_list, to_lattice
-from .records import Record, check_fields, fields_json
+from .records import Record, check_fields
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -35,7 +35,7 @@ def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-class MultigeometricSeries(Record):
+class MultigeometricSeries(Record, json=True):
     """Eventually multigeometric positive series: finite prefix terms, then a
     block repeated with a fixed ratio in (0, 1)."""
 
@@ -79,8 +79,6 @@ class MultigeometricSeries(Record):
         if n < 0:
             raise ValueError("remainder index must be >= 0")
         return _remainders(self, n)[n]
-
-    to_json = fields_json
 
     @classmethod
     def from_json(cls, data) -> "MultigeometricSeries":
@@ -274,15 +272,13 @@ def series_from_pattern(
     return series, seq, cert
 
 
-class MultigeometricForm(Record):
+class MultigeometricForm(Record, json=True):
     """Purely periodic series written as (eps_1, ..., eps_m; 3**-m), with the
     exact measure of the subsum set's difference set divided by its span."""
 
     epsilons: tuple[int, ...]
     ratio: Fraction
     measure: Fraction
-
-    to_json = fields_json
 
 
 def multigeometric_form(pattern: DoublingPattern) -> MultigeometricForm:
