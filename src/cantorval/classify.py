@@ -267,11 +267,13 @@ def classify(
         raise AssumptionError(f"base {base} is invalid: it must be >= 0")
     period_all_large = all(r >= THIRD for r in seq.period)
     period_all_small = all(r < THIRD for r in seq.period)
+    small_prefix_depths = [j for j in range(1, len(seq.prefix) + 1) if seq.ratio_at(j) < THIRD]
+    if base is not None and (period_all_large or period_all_small):
+        # only the mixed regime's cover equations start from a base
+        regime = VERDICT_CANTOR if period_all_small else VERDICT_FINITE if small_prefix_depths else VERDICT_FULL
+        raise AssumptionError(f"base {base} is invalid: the {regime} regime uses no base")
 
     if period_all_large:
-        small_prefix_depths = [
-            j for j in range(1, len(seq.prefix) + 1) if seq.ratio_at(j) < THIRD
-        ]
         if not small_prefix_depths:
             return Certificate(
                 sequence=seq, verdict=VERDICT_FULL, rule=RULE_FULL, measure=Fraction(2)

@@ -41,6 +41,8 @@ POSITIVE_BASE_SPEC = '{"lambda": {"prefix": ["1/4", "2/5"], "period": ["7/15", "
 UNKNOWN_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5021/21000"]}}'
 # mixed, with no ratio strictly above 1/3 and so no valid base
 NO_BASE_SPEC = '{"lambda": {"prefix": [], "period": ["1/3", "1/4"]}}'
+# the regimes whose classification uses no base k0
+UNBASED = [(FULL_SPEC, "FullInterval"), (FINITE_SPEC, "FiniteIntervalUnion"), (SMALL_SPEC, "CantorSet")]
 
 
 def run(capsys, *argv, expect=0):
@@ -386,6 +388,23 @@ class TestExitCodes:
         # these regimes use no base, yet a negative one is still refused
         _, err = run(capsys, "classify", "--spec", spec, "--k0", "-1", expect=3)
         assert err == "error: base -1 is invalid: it must be >= 0\n"
+
+    @pytest.mark.parametrize("spec, regime", UNBASED, ids=["full", "finite", "cantor"])
+    def test_a_base_is_refused_where_the_regime_uses_none(self, capsys, spec, regime):
+        for base in ("0", "5"):
+            _, err = run(capsys, "classify", "--spec", spec, "--k0", base, expect=3)
+            assert err == f"error: base {base} is invalid: the {regime} regime uses no base\n"
+
+    @pytest.mark.parametrize("spec, regime", UNBASED, ids=["full", "finite", "cantor"])
+    def test_a_certificate_base_the_regime_does_not_use_fails_reclassify(self, capsys, spec, regime):
+        cert = json.loads(run(capsys, "classify", "--spec", spec)[0])
+        run(capsys, "verify", "--spec", json.dumps(cert))
+        cert["k0"] = 0
+        out, _ = run(capsys, "verify", "--spec", json.dumps(cert), "--format", "text", expect=1)
+        assert out == (
+            f"FAIL reclassify — classification failed: base 0 is invalid: the {regime} regime uses no base\n"
+            "verification FAILED\n"
+        )
 
     def test_ratio_lists_must_be_lists(self, capsys):
         for spec, key in (
