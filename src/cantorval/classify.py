@@ -245,7 +245,7 @@ class Certificate(Record):
         return cls(
             sequence=seq,
             verdict=data["verdict"],
-            rule=str(data.get("rule", "")),
+            rule=optional("rule", str) or "",
             measure=None if measure is None else parse_rational(measure),
             base=optional("k0", int),
             residuals=None if residuals is None else tuple(map(ResidualEntry.from_json, residuals)),

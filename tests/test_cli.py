@@ -325,6 +325,18 @@ class TestExitCodes:
         err = self.verify_tampered(capsys, tmp_path, lambda d: d.update(k0="zero"))
         assert "k0 must be of type int" in err
 
+    @pytest.mark.parametrize("rule", [5, ["cover-equation-system"], True, {}], ids=["int", "list", "bool", "object"])
+    def test_certificate_rule_must_be_a_string(self, capsys, tmp_path, rule):
+        err = self.verify_tampered(capsys, tmp_path, lambda d: d.update(rule=rule))
+        assert err == f"error: certificate rule must be of type str, got {rule!r}\n"
+
+    @pytest.mark.parametrize("tamper", [lambda d: d.pop("rule"), lambda d: d.update(rule=None)], ids=["missing", "null"])
+    def test_certificate_without_a_rule_fails_the_rule_check(self, capsys, tamper):
+        data = json.loads(run(capsys, "classify", "--spec", EX1_SPEC)[0])
+        tamper(data)
+        out, _ = run(capsys, "verify", "--spec", json.dumps(data), "--format", "text", expect=1)
+        assert "FAIL rule-matches — recomputed 'cover-equation-system' vs certified ''\n" in out
+
     def test_certificate_residual_needs_index(self, capsys, tmp_path):
         err = self.verify_tampered(capsys, tmp_path, lambda d: d["residuals"][0].pop("index"))
         assert "'index'" in err
