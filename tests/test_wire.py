@@ -26,7 +26,7 @@ from cantorval.records import Record
 from cantorval.render import StackRow
 from cantorval.series import DoublingPattern, MultigeometricSeries, multigeometric_form, series_from_ratios
 
-from specimens import CANTOR_SMALL, EX1, EX1_PATTERN, EX2_PATTERN, EX3_PATTERN, FINITE, FULL_THIRD
+from specimens import CANTOR_SMALL, EX1, EX1_PATTERN, EX1_PERTURBED, EX2_PATTERN, EX3_PATTERN, FINITE, FULL_THIRD
 from strategies import ratio_sequences
 
 
@@ -93,7 +93,7 @@ VERDICTS = {
     "cantor": CANTOR_SMALL,
     "cantorval": EX1,
     "cantorval-positive-base": RatioSequence((F(1, 4), F(2, 5)), (F(7, 15), F(5, 21))),
-    "unknown-residuals": RatioSequence((), (F(7, 15), F(5, 21) + F(1, 1000))),
+    "unknown-residuals": EX1_PERTURBED,
     "unknown-no-base": RatioSequence((), (F(1, 3), F(1, 4))),
 }
 CERTIFICATES = {name: classify(seq) for name, seq in VERDICTS.items()}
@@ -199,3 +199,114 @@ def test_records_with_a_to_json():
         "MultigeometricForm", "MultigeometricSeries", "RatioSequence", "ResidualEntry",
     }
 
+
+
+def record_classes():
+    def subclasses(cls):
+        return {cls} | {c for sub in cls.__subclasses__() for c in subclasses(sub)}
+
+    return [cls for cls in subclasses(Record) if cls.__module__.startswith("cantorval.")]
+
+
+# values of every record that both writes and reads its JSON: the certificates
+# of every verdict and the records they hold, and the series and patterns
+ROUND_TRIPS = {
+    Certificate: list(CERTIFICATES.values()),
+    ResidualEntry: [e for cert in CERTIFICATES.values() for e in cert.residuals or ()],
+    DepthRow: [row for cert in CERTIFICATES.values() for row in cert.report or ()],
+    RatioSequence: [cert.sequence for cert in CERTIFICATES.values()],
+    MultigeometricSeries: [series_from_ratios(cert.sequence) for cert in CERTIFICATES.values()],
+    DoublingPattern: PATTERNS,
+}
+READERS = sorted(
+    (cls for cls in record_classes() if hasattr(cls, "from_json") and hasattr(cls, "to_json")),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", READERS, ids=lambda cls: cls.__name__)
+def test_every_reader_reads_back_what_its_record_writes(cls):
+    assert ROUND_TRIPS.get(cls), f"{cls.__name__} reads and writes JSON but has no round-trip values"
+    for value in ROUND_TRIPS[cls]:
+        assert cls.from_json(json.loads(json.dumps(value.to_json()))) == value
+
+
+EX1_CERT = CERTIFICATES["cantorval"].to_json()
+RESIDUAL = EX1_CERT["residuals"][0]
+ROW = CERTIFICATES["unknown-residuals"].to_json()["report"][0]
+NOT_RATIONAL = "not a rational literal: {!r} (expected 'p/q' or an integer)"
+
+# (reader, data, the one message it is refused with)
+REFUSALS = [
+    # a ratio sequence: lists of rationals, the period not empty
+    (RatioSequence, {"prefix": "1/4", "period": ["1/4"]}, "ratio sequence prefix must be a list of rationals, got '1/4'"),
+    (RatioSequence, {"prefix": None, "period": ["1/4"]}, "ratio sequence prefix must be a list of rationals, got None"),
+    (RatioSequence, {"period": {"0": "1/4"}}, "ratio sequence period must be a list of rationals, got {'0': '1/4'}"),
+    (RatioSequence, {"period": ["0.25"]}, NOT_RATIONAL.format("0.25")),
+    (RatioSequence, {"period": [1]}, NOT_RATIONAL.format(1)),
+    (RatioSequence, {"prefix": ["1/4"]}, "period must contain at least one ratio"),
+    (RatioSequence, {"period": ["1/2"]}, "period entry 1 is 1/2; every ratio must lie strictly between 0 and 1/2"),
+    # a residual entry: every entry required, an int, a str and a rational
+    (ResidualEntry, {"case": "<,<", "value": "0"}, "residual needs a 'index' entry"),
+    (ResidualEntry, {"index": 1, "value": "0"}, "residual needs a 'case' entry"),
+    (ResidualEntry, {"index": 1, "case": "<,<"}, "residual needs a 'value' entry"),
+    (ResidualEntry, {**RESIDUAL, "index": "1"}, "residual index must be of type int, got '1'"),
+    (ResidualEntry, {**RESIDUAL, "index": True}, "residual index must be of type int, got True"),
+    (ResidualEntry, {**RESIDUAL, "index": 1.0}, "residual index must be of type int, got 1.0"),
+    (ResidualEntry, {**RESIDUAL, "index": None}, "residual index must be of type int, got None"),
+    (ResidualEntry, {**RESIDUAL, "case": 5}, "residual case must be of type str, got 5"),
+    (ResidualEntry, {**RESIDUAL, "case": None}, "residual case must be of type str, got None"),
+    (ResidualEntry, {**RESIDUAL, "value": "0.5"}, NOT_RATIONAL.format("0.5")),
+    (ResidualEntry, {**RESIDUAL, "value": 0}, NOT_RATIONAL.format(0)),
+    (ResidualEntry, {**RESIDUAL, "value": None}, NOT_RATIONAL.format(None)),
+    (ResidualEntry, ["1", "<,<", "0"], "residual needs a 'index' entry"),
+    # a report row: two ints, two rationals and a bool
+    (DepthRow, {k: v for k, v in ROW.items() if k != "depth"}, "report row needs a 'depth' entry"),
+    (DepthRow, {k: v for k, v in ROW.items() if k != "stable"}, "report row needs a 'stable' entry"),
+    (DepthRow, {**ROW, "depth": True}, "report row depth must be of type int, got True"),
+    (DepthRow, {**ROW, "gap_count": "2"}, "report row gap_count must be of type int, got '2'"),
+    (DepthRow, {**ROW, "measure": "1.5"}, NOT_RATIONAL.format("1.5")),
+    (DepthRow, {**ROW, "largest_gap": ["1/9"]}, NOT_RATIONAL.format(["1/9"])),
+    (DepthRow, {**ROW, "stable": 1}, "report row stable must be of type bool, got 1"),
+    (DepthRow, {**ROW, "stable": "false"}, "report row stable must be of type bool, got 'false'"),
+    (DepthRow, {**ROW, "stable": None}, "report row stable must be of type bool, got None"),
+    (DepthRow, None, "report row needs a 'depth' entry"),
+    # a series: the ratio required, lists of rationals, the block not empty
+    (MultigeometricSeries, {"block": ["1"]}, "series needs a ratio"),
+    (MultigeometricSeries, {"block": ["1"], "x": 1}, "unknown series keys: ['x']"),
+    (MultigeometricSeries, {"block": ["1"], "ratio": "0.1"}, NOT_RATIONAL.format("0.1")),
+    (MultigeometricSeries, {"block": ["1"], "ratio": None}, NOT_RATIONAL.format(None)),
+    (MultigeometricSeries, {"block": "1", "ratio": "1/3"}, "series block must be a list of rationals, got '1'"),
+    (MultigeometricSeries, {"prefix": {}, "block": ["1"], "ratio": "1/3"}, "series prefix must be a list of rationals, got {}"),
+    (MultigeometricSeries, {"block": [], "ratio": "1/3"}, "block must contain at least one term"),
+    # a certificate: its envelope, its verdict, its input and each typed field
+    (Certificate, ["Cantorval"], "certificate must be an object with input and verdict"),
+    (Certificate, {k: v for k, v in EX1_CERT.items() if k != "verdict"}, "certificate must be an object with input and verdict"),
+    (Certificate, {k: v for k, v in EX1_CERT.items() if k != "input"}, "certificate must be an object with input and verdict"),
+    (Certificate, {**EX1_CERT, "verdict": "Cantor"}, "unknown verdict: 'Cantor'"),
+    (Certificate, {**EX1_CERT, "verdict": None}, "unknown verdict: None"),
+    (Certificate, {**EX1_CERT, "input": "EX1"}, "certificate input must carry a lambda spec"),
+    (Certificate, {**EX1_CERT, "input": {}}, "certificate input must carry a lambda spec"),
+    (Certificate, {**EX1_CERT, "input": {"lambda": ["7/15"]}}, "ratio sequence must be an object with prefix/period"),
+    (Certificate, {**EX1_CERT, "rule": 5}, "certificate rule must be of type str, got 5"),
+    (Certificate, {**EX1_CERT, "measure": "1.6"}, NOT_RATIONAL.format("1.6")),
+    (Certificate, {**EX1_CERT, "measure": 2}, NOT_RATIONAL.format(2)),
+    (Certificate, {**EX1_CERT, "k0": "zero"}, "certificate k0 must be of type int, got 'zero'"),
+    (Certificate, {**EX1_CERT, "k0": True}, "certificate k0 must be of type int, got True"),
+    (Certificate, {**EX1_CERT, "residuals": {}}, "certificate residuals must be of type list, got {}"),
+    (Certificate, {**EX1_CERT, "residuals": [5]}, "residual needs a 'index' entry"),
+    (Certificate, {**EX1_CERT, "residuals": [{**RESIDUAL, "case": 5}]}, "residual case must be of type str, got 5"),
+    (Certificate, {**EX1_CERT, "stable_depth": 2.5}, "certificate stable_depth must be of type int, got 2.5"),
+    (Certificate, {**EX1_CERT, "stable_depth": False}, "certificate stable_depth must be of type int, got False"),
+    (Certificate, {**EX1_CERT, "stable_depth": -1}, "certificate stable_depth must be >= 0, got -1"),
+    (Certificate, {**EX1_CERT, "union": "x"}, "union must be a list of [lo, hi] pairs, got 'x'"),
+    (Certificate, {**EX1_CERT, "report": "rows"}, "certificate report must be of type list, got 'rows'"),
+    (Certificate, {**EX1_CERT, "report": [[1]]}, "report row needs a 'depth' entry"),
+]
+
+
+@pytest.mark.parametrize("cls, data, message", REFUSALS)
+def test_every_refusal_of_the_readers(cls, data, message):
+    with pytest.raises(SpecValidationError) as refusal:
+        cls.from_json(data)
+    assert str(refusal.value) == message
