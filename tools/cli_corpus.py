@@ -131,6 +131,13 @@ def requests() -> list[tuple[str, list[str]]]:
     for fmt in ("json", "text"):
         add("examples", "--format", fmt)
     out += [(" ".join(argv) or "(no arguments)", argv) for argv in REFUSALS]
+    # inputs past the interpreter's limits on integer digits and on recursion,
+    # under short labels
+    nines = "9" * 4400
+    out.append(("approx --spec <period 1/(4400 nines)>", ["approx", "--spec", f'{{"lambda": {{"period": ["1/{nines}"]}}}}']))
+    out.append(("approx --spec <period of a 4400-digit integer>", ["approx", "--spec", f'{{"lambda": {{"period": [{nines}]}}}}']))
+    nested = "[" * 100000 + "]" * 100000
+    out.append(("approx --spec <lambda nested 100000 deep>", ["approx", "--spec", f'{{"lambda": {nested}}}']))
     return out
 
 
@@ -147,9 +154,21 @@ def run(main, argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# certificates with a key that no field is written under, by the key's place
+EXTRA_KEYS = {
+    "ex1": {
+        "measur": lambda cert: cert.update(measur="7/5"),
+        "input.series": lambda cert: cert["input"].update(series=None),
+        "residuals[0].note": lambda cert: cert["residuals"][0].update(note=""),
+    },
+    "perturbed": {"report[0].note": lambda cert: cert["report"][0].update(note="")},
+}
+
+
 def certificate_requests(main) -> list[tuple[str, list[str]]]:
-    """`verify` on the certificate `classify` gives for each spec, and on a
-    tampered copy of each; the label names the certificate instead of printing it."""
+    """`verify` on the certificate `classify` gives for each spec, on a tampered
+    copy of each, and on copies with an unknown key; the label names the
+    certificate instead of printing it."""
     out = []
     for name, spec in SPECS.items():
         code, cert, _ = run(main, ["classify", "--spec", spec])
@@ -163,6 +182,11 @@ def certificate_requests(main) -> list[tuple[str, list[str]]]:
                 out.append((f"verify --spec <classify {name}> --depth {depth} --format {fmt}", argv))
         argv = ["verify", "--spec", json.dumps(tampered), "--depth", "4"]
         out.append((f"verify --spec <tampered classify {name}> --depth 4", argv))
+        for key, add in EXTRA_KEYS.get(name, {}).items():
+            extra = json.loads(cert)
+            add(extra)
+            argv = ["verify", "--spec", json.dumps(extra), "--depth", "4"]
+            out.append((f"verify --spec <classify {name} with {key}> --depth 4", argv))
         if name == "ex1":
             # a deeper complement-equals-family check
             argv = ["verify", "--spec", cert, "--depth", "12"]
