@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import lt
 from typing import Sequence
@@ -51,8 +52,7 @@ from .gapforest import (
     smallest_valid_base,
 )
 from .intervals import IntervalUnion, minkowski_diff
-from .rationals import parse_rational
-from .records import Record, fields_json
+from .records import Record, fields_from_json, fields_json
 
 VERDICT_FULL = "FullInterval"
 VERDICT_FINITE = "FiniteIntervalUnion"
@@ -69,20 +69,6 @@ RULE_UNKNOWN = "no-applicable-criterion"
 _VERDICTS = (VERDICT_FULL, VERDICT_FINITE, VERDICT_CANTOR, VERDICT_CANTORVAL, VERDICT_UNKNOWN)
 
 
-def _json_value(value, kind: type, label: str):
-    """A certificate value checked to be of the given JSON type; a bool is no int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SpecValidationError(f"{label} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _json_entry(data, key: str, label: str, kind: type = object):
-    """data[key] of a certificate object, which must be present."""
-    if not isinstance(data, dict) or key not in data:
-        raise SpecValidationError(f"{label} needs a {key!r} entry")
-    return _json_value(data[key], kind, f"{label} {key}")
-
-
 class ResidualEntry(Record, json=True):
     """Exact lhs - rhs of the cover equation linking ratios at index and index+1."""
 
@@ -90,13 +76,7 @@ class ResidualEntry(Record, json=True):
     case: str
     value: Fraction
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ResidualEntry":
-        return cls(
-            _json_entry(data, "index", "residual", int),
-            _json_entry(data, "case", "residual", str),
-            parse_rational(_json_entry(data, "value", "residual")),
-        )
+    from_json = classmethod(partial(fields_from_json, label="residual"))
 
 
 def equation_residuals(seq: RatioSequence, base: int | None = None) -> tuple[ResidualEntry, ...]:
@@ -165,15 +145,7 @@ class DepthRow(Record, json=True):
     largest_gap: Fraction
     stable: bool
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DepthRow":
-        return cls(
-            _json_entry(data, "depth", "report row", int),
-            parse_rational(_json_entry(data, "measure", "report row")),
-            _json_entry(data, "gap_count", "report row", int),
-            parse_rational(_json_entry(data, "largest_gap", "report row")),
-            _json_entry(data, "stable", "report row", bool),
-        )
+    from_json = classmethod(partial(fields_from_json, label="report row"))
 
 
 def _holes(union: IntervalUnion) -> list[tuple[int, int]]:
@@ -217,13 +189,16 @@ class Certificate(Record):
     union: IntervalUnion | None = None
     report: tuple[DepthRow, ...] | None = None
 
+    # the input holds the sequence as the spec it was classified from, {"lambda": ...}
+    _wire_names = {"sequence": "input", "base": "k0"}
+
     def to_json(self) -> dict:
         out = fields_json(self)
-        out["input"], out["k0"] = {"lambda": out.pop("sequence")}, out.pop("base")
+        out["input"] = {"lambda": out["input"]}
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "Certificate":
+    def from_json(cls, data) -> "Certificate":
         if not isinstance(data, dict) or "verdict" not in data or "input" not in data:
             raise SpecValidationError("certificate must be an object with input and verdict")
         if data["verdict"] not in _VERDICTS:
@@ -231,28 +206,14 @@ class Certificate(Record):
         spec = data["input"]
         if not isinstance(spec, dict) or "lambda" not in spec:
             raise SpecValidationError("certificate input must carry a lambda spec")
-        seq = RatioSequence.from_json(spec["lambda"])
-
-        def optional(key: str, kind: type = object):
-            value = data.get(key)
-            return None if value is None else _json_value(value, kind, f"certificate {key}")
-
-        measure, union = optional("measure"), optional("union")
-        residuals, report = optional("residuals", list), optional("report", list)
-        stable_depth = optional("stable_depth", int)
-        if stable_depth is not None and stable_depth < 0:
-            raise SpecValidationError(f"certificate stable_depth must be >= 0, got {stable_depth}")
-        return cls(
-            sequence=seq,
-            verdict=data["verdict"],
-            rule=optional("rule", str) or "",
-            measure=None if measure is None else parse_rational(measure),
-            base=optional("k0", int),
-            residuals=None if residuals is None else tuple(map(ResidualEntry.from_json, residuals)),
-            stable_depth=stable_depth,
-            union=None if union is None else IntervalUnion.from_json(union),
-            report=None if report is None else tuple(map(DepthRow.from_json, report)),
-        )
+        if len(spec) > 1:
+            raise SpecValidationError(f"unknown certificate input keys: {sorted(set(spec) - {'lambda'})}")
+        # a missing or null rule reads as the empty rule, which verify refutes
+        rule = "" if data.get("rule") is None else data["rule"]
+        cert = fields_from_json(cls, {**data, "input": spec["lambda"], "rule": rule}, "certificate")
+        if cert.stable_depth is not None and cert.stable_depth < 0:
+            raise SpecValidationError(f"certificate stable_depth must be >= 0, got {cert.stable_depth}")
+        return cert
 
 
 def classify(

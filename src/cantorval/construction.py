@@ -20,14 +20,15 @@ Everything is a pure function of (sequence, depth); all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Iterable, Sequence
 
 from .budget import charge_power
 from .errors import SpecValidationError
 from .intervals import ClosedInterval, IntervalUnion, fold_copies
-from .rationals import parse_rational_list, to_lattice
-from .records import Record, check_fields
+from .rationals import to_lattice
+from .records import Record, fields_from_json
 
 _HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -110,12 +111,7 @@ class RatioSequence(Record, json=True):
         lengths = self.depth_table(p + q).lengths
         return lengths[p + q] / lengths[p]
 
-    @classmethod
-    def from_json(cls, data) -> "RatioSequence":
-        check_fields(cls, data, "ratio sequence")
-        prefix = parse_rational_list("ratio sequence prefix", data.get("prefix", []))
-        period = parse_rational_list("ratio sequence period", data.get("period", []))
-        return cls(prefix=tuple(prefix), period=tuple(period))
+    from_json = classmethod(partial(fields_from_json, label="ratio sequence"))
 
 
 def depth_length(seq: RatioSequence, n: int) -> Fraction:

@@ -5,23 +5,26 @@ value in the class body is a default. A record is built positionally or by
 keyword, then runs __post_init__; it compares and hashes as its field tuple,
 equal only within its class, prints as Name(field=value, ...) and refuses
 assignment. order=True orders it as its field tuple, and json=True, for a
-record whose JSON is exactly its fields, takes fields_json as its to_json.
+record whose JSON is its fields, takes fields_json as its to_json; _wire_names
+renames fields on the wire, and fields_from_json reads that JSON back.
 Importing dataclasses (inspect, ast, dis, tokenize) and compiling each
-class's methods would cost every CLI run. A from_json checks the object it
-reads with check_fields.
+class's methods would cost every CLI run.
 """
 
+import sys
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter, ge, gt, le, lt
 
 from .errors import SpecValidationError
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational, parse_rational_list
 
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
+    _wire_names: dict = {}
 
     def __init_subclass__(cls, order: bool = False, json: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -83,9 +86,9 @@ def _ordering(op):
 
 
 def fields_json(record) -> dict:
-    """The record's fields by name, each by one rule: a Fraction as "p/q", a tuple
-    as a list and a value with a to_json as that JSON."""
-    return {name: _wire(getattr(record, name)) for name in record._fields}
+    """The record's fields by wire name, each by one rule: a Fraction as "p/q", a
+    tuple as a list and a value with a to_json as that JSON."""
+    return {record._wire_names.get(name, name): _wire(getattr(record, name)) for name in record._fields}
 
 
 def _wire(value):
@@ -97,9 +100,50 @@ def _wire(value):
 
 
 def check_fields(cls, data, label: str) -> None:
-    """Refuse data unless it is an object whose keys are among cls's fields."""
+    """Refuse data unless it is an object whose keys are among cls's fields' wire names."""
+    keys = [cls._wire_names.get(name, name) for name in cls._fields]
     if not isinstance(data, dict):
-        raise SpecValidationError(f"{label} must be an object with {'/'.join(cls._fields)}")
-    unknown = set(data) - set(cls._fields)
+        raise SpecValidationError(f"{label} must be an object with {'/'.join(keys)}")
+    unknown = set(data) - set(keys)
     if unknown:
         raise SpecValidationError(f"unknown {label} keys: {sorted(unknown)}")
+
+
+def fields_from_json(cls, data, label: str):
+    """The record of cls that fields_json wrote, each field read by its annotation;
+    a missing entry leaves the field's default, and without one is refused."""
+    check_fields(cls, data, label)
+    values = {}
+    for name, hint in _hints(cls).items():
+        key = cls._wire_names.get(name, name)
+        if key in data:
+            values[name] = _read(hint, data[key], f"{label} {key}")
+        elif name not in cls._defaults:
+            raise SpecValidationError(f"{label} needs a {key!r} entry")
+    return cls(**values)
+
+
+@cache
+def _hints(cls) -> dict:
+    """Each field's annotation, its string evaluated once in the class's module."""
+    space = vars(sys.modules[cls.__module__])
+    return {name: eval(text, space) for name, text in vars(cls)["__annotations__"].items()}
+
+
+def _read(hint, value, label: str):
+    """A field annotated hint from its JSON: X | None from null as None, a Fraction
+    from "p/q", a tuple from a list, a class by its from_json, and an int, str,
+    bool or list as itself."""
+    if type(None) in getattr(hint, "__args__", ()):
+        return None if value is None else _read(hint.__args__[0], value, label)
+    if getattr(hint, "__origin__", None) is tuple:
+        item = hint.__args__[0]
+        items = parse_rational_list(label, value) if item is Fraction else map(item.from_json, _read(list, value, label))
+        return tuple(items)
+    if hint is Fraction:
+        return parse_rational(value)
+    if hasattr(hint, "from_json"):
+        return hint.from_json(value)
+    if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
+        raise SpecValidationError(f"{label} must be of type {hint.__name__}, got {value!r}")
+    return value

@@ -21,8 +21,8 @@ from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
-from .rationals import parse_rational, parse_rational_list, to_lattice
-from .records import Record, check_fields
+from .rationals import to_lattice
+from .records import Record, check_fields, fields_from_json
 
 
 def _positive_entries(label: str, entries) -> tuple[Fraction, ...]:
@@ -82,14 +82,9 @@ class MultigeometricSeries(Record, json=True):
 
     @classmethod
     def from_json(cls, data) -> "MultigeometricSeries":
-        check_fields(cls, data, "series")
-        if "ratio" not in data:
+        if isinstance(data, dict) and data.keys() <= {"prefix", "block"}:
             raise SpecValidationError("series needs a ratio")
-        return cls(
-            prefix=tuple(parse_rational_list("series prefix", data.get("prefix", []))),
-            block=tuple(parse_rational_list("series block", data.get("block", []))),
-            ratio=parse_rational(data["ratio"]),
-        )
+        return fields_from_json(cls, data, "series")
 
 
 def series_from_ratios(seq: RatioSequence) -> MultigeometricSeries:

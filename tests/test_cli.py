@@ -337,6 +337,20 @@ class TestExitCodes:
         out, _ = run(capsys, "verify", "--spec", json.dumps(data), "--format", "text", expect=1)
         assert "FAIL rule-matches — recomputed 'cover-equation-system' vs certified ''\n" in out
 
+    @pytest.mark.parametrize(
+        "tamper, spec, message",
+        [
+            (lambda d: d.update(measur="7/5"), EX1_SPEC, "unknown certificate keys: ['measur']"),
+            (lambda d: d["input"].update(lamda=1), EX1_SPEC, "unknown certificate input keys: ['lamda']"),
+            (lambda d: d["residuals"][0].update(note=""), EX1_SPEC, "unknown residual keys: ['note']"),
+            (lambda d: d["report"][0].update(note=""), UNKNOWN_SPEC, "unknown report row keys: ['note']"),
+        ],
+        ids=["top-level", "input", "residual", "report-row"],
+    )
+    def test_certificate_with_an_unknown_key_is_refused(self, capsys, tmp_path, tamper, spec, message):
+        err = self.verify_tampered(capsys, tmp_path, tamper, spec=spec)
+        assert err == f"error: {message}\n"
+
     def test_certificate_residual_needs_index(self, capsys, tmp_path):
         err = self.verify_tampered(capsys, tmp_path, lambda d: d["residuals"][0].pop("index"))
         assert "'index'" in err

@@ -154,6 +154,8 @@ ENVELOPES = [
     (RatioSequence, "ratio sequence", "prefix/period"),
     (MultigeometricSeries, "series", "prefix/block/ratio"),
     (DoublingPattern, "pattern", "prefix_bits/period_bits"),
+    (ResidualEntry, "residual", "index/case/value"),
+    (DepthRow, "report row", "depth/measure/gap_count/largest_gap/stable"),
 ]
 
 
@@ -259,7 +261,7 @@ REFUSALS = [
     (ResidualEntry, {**RESIDUAL, "value": "0.5"}, NOT_RATIONAL.format("0.5")),
     (ResidualEntry, {**RESIDUAL, "value": 0}, NOT_RATIONAL.format(0)),
     (ResidualEntry, {**RESIDUAL, "value": None}, NOT_RATIONAL.format(None)),
-    (ResidualEntry, ["1", "<,<", "0"], "residual needs a 'index' entry"),
+    (ResidualEntry, ["1", "<,<", "0"], "residual must be an object with index/case/value"),
     # a report row: two ints, two rationals and a bool
     (DepthRow, {k: v for k, v in ROW.items() if k != "depth"}, "report row needs a 'depth' entry"),
     (DepthRow, {k: v for k, v in ROW.items() if k != "stable"}, "report row needs a 'stable' entry"),
@@ -270,7 +272,7 @@ REFUSALS = [
     (DepthRow, {**ROW, "stable": 1}, "report row stable must be of type bool, got 1"),
     (DepthRow, {**ROW, "stable": "false"}, "report row stable must be of type bool, got 'false'"),
     (DepthRow, {**ROW, "stable": None}, "report row stable must be of type bool, got None"),
-    (DepthRow, None, "report row needs a 'depth' entry"),
+    (DepthRow, None, "report row must be an object with depth/measure/gap_count/largest_gap/stable"),
     # a series: the ratio required, lists of rationals, the block not empty
     (MultigeometricSeries, {"block": ["1"]}, "series needs a ratio"),
     (MultigeometricSeries, {"block": ["1"], "x": 1}, "unknown series keys: ['x']"),
@@ -294,14 +296,14 @@ REFUSALS = [
     (Certificate, {**EX1_CERT, "k0": "zero"}, "certificate k0 must be of type int, got 'zero'"),
     (Certificate, {**EX1_CERT, "k0": True}, "certificate k0 must be of type int, got True"),
     (Certificate, {**EX1_CERT, "residuals": {}}, "certificate residuals must be of type list, got {}"),
-    (Certificate, {**EX1_CERT, "residuals": [5]}, "residual needs a 'index' entry"),
+    (Certificate, {**EX1_CERT, "residuals": [5]}, "residual must be an object with index/case/value"),
     (Certificate, {**EX1_CERT, "residuals": [{**RESIDUAL, "case": 5}]}, "residual case must be of type str, got 5"),
     (Certificate, {**EX1_CERT, "stable_depth": 2.5}, "certificate stable_depth must be of type int, got 2.5"),
     (Certificate, {**EX1_CERT, "stable_depth": False}, "certificate stable_depth must be of type int, got False"),
     (Certificate, {**EX1_CERT, "stable_depth": -1}, "certificate stable_depth must be >= 0, got -1"),
     (Certificate, {**EX1_CERT, "union": "x"}, "union must be a list of [lo, hi] pairs, got 'x'"),
     (Certificate, {**EX1_CERT, "report": "rows"}, "certificate report must be of type list, got 'rows'"),
-    (Certificate, {**EX1_CERT, "report": [[1]]}, "report row needs a 'depth' entry"),
+    (Certificate, {**EX1_CERT, "report": [[1]]}, "report row must be an object with depth/measure/gap_count/largest_gap/stable"),
 ]
 
 
