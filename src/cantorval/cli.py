@@ -86,7 +86,7 @@ def _load_input(spec: str | None) -> dict:
         origin = spec
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or nesting past the stack
         raise SpecValidationError(f"{origin}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecValidationError(f"{origin}: top-level JSON must be an object")

@@ -22,7 +22,10 @@ def parse_rational(text: str) -> Fraction:
         raise SpecValidationError(
             f"not a rational literal: {text!r} (expected 'p/q' or an integer)"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # an integer past the interpreter's limit on decimal digits
+        raise SpecValidationError(f"rational literal of {len(text)} characters has too many digits") from None
 
 
 def parse_rational_list(label: str, values) -> list[Fraction]:

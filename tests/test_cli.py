@@ -43,6 +43,9 @@ UNKNOWN_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5021/21000"]}}'
 NO_BASE_SPEC = '{"lambda": {"prefix": [], "period": ["1/3", "1/4"]}}'
 # the regimes whose classification uses no base k0
 UNBASED = [(FULL_SPEC, "FullInterval"), (FINITE_SPEC, "FiniteIntervalUnion"), (SMALL_SPEC, "CantorSet")]
+EX1_CERT = classify(RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"])).to_json()
+# more decimal digits than CPython converts to an int by default
+NINES = "9" * 4400
 
 
 def run(capsys, *argv, expect=0):
@@ -286,6 +289,22 @@ class TestExitCodes:
         run(capsys, "classify", "--spec", "no-such-file.json", expect=2)
         run(capsys, "classify", expect=2)  # missing --spec
         run(capsys, "classify", "--spec", '["not", "an", "object"]', expect=2)
+
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            ("approx", '{"lambda": {"period": ["1/%s"]}}' % NINES, "rational literal of 4402 characters has too many digits"),
+            ("verify", json.dumps({**EX1_CERT, "measure": NINES}), "rational literal of 4400 characters has too many digits"),
+            ("approx", '{"lambda": {"period": [%s]}}' % NINES, "inline spec: invalid JSON: Exceeds the limit"),
+            ("verify", json.dumps({**EX1_CERT, "k0": "K"}).replace('"K"', NINES), "inline spec: invalid JSON: Exceeds the limit"),
+            ("approx", '{"lambda": %s}' % ("[" * 100000 + "]" * 100000), "inline spec: invalid JSON: maximum recursion depth"),
+        ],
+        ids=["long-literal", "long-certificate-measure", "long-integer", "long-certificate-k0", "deep-nesting"],
+    )
+    def test_inputs_past_the_interpreter_limits_are_refused(self, capsys, command, spec, message):
+        # past the digit limit of int conversion, or nested past the recursion limit
+        _, err = run(capsys, command, "--spec", spec, expect=2)
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_hypothesis_violation(self, capsys):
         spec = '{"k": {"prefix_bits": "", "period_bits": "10"}}'
