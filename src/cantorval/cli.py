@@ -86,7 +86,7 @@ def _load_input(spec: str | None) -> dict:
         origin = spec
     try:
         data = json.loads(source)
-    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:  # also too many digits in an integer, or nesting too deep
         raise SpecValidationError(f"{origin}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecValidationError(f"{origin}: top-level JSON must be an object")

@@ -136,10 +136,10 @@ def _read(hint, value, label: str):
     bool or list as itself."""
     if type(None) in getattr(hint, "__args__", ()):
         return None if value is None else _read(hint.__args__[0], value, label)
+    if hint == tuple[Fraction, ...]:
+        return tuple(parse_rational_list(label, value))
     if getattr(hint, "__origin__", None) is tuple:
-        item = hint.__args__[0]
-        items = parse_rational_list(label, value) if item is Fraction else map(item.from_json, _read(list, value, label))
-        return tuple(items)
+        return tuple(map(hint.__args__[0].from_json, _read(list, value, label)))
     if hint is Fraction:
         return parse_rational(value)
     if hasattr(hint, "from_json"):
