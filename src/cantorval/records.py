@@ -131,17 +131,17 @@ def _hints(cls) -> dict:
 
 
 def _read(hint, value, label: str):
-    """A field annotated hint from its JSON: X | None from null as None, a Fraction
-    from "p/q", a tuple from a list, a class by its from_json, and an int, str,
-    bool or list as itself."""
-    if type(None) in getattr(hint, "__args__", ()):
-        return None if value is None else _read(hint.__args__[0], value, label)
-    if hint == tuple[Fraction, ...]:
-        return tuple(parse_rational_list(label, value))
-    if getattr(hint, "__origin__", None) is tuple:
-        return tuple(map(hint.__args__[0].from_json, _read(list, value, label)))
+    """A field annotated hint from its JSON: a Fraction from "p/q", X | None from
+    null as None, a tuple from a list, a class by its from_json, and an int,
+    str, bool or list as itself."""
     if hint is Fraction:
         return parse_rational(value)
+    if type(None) in getattr(hint, "__args__", ()):
+        return None if value is None else _read(hint.__args__[0], value, label)
+    if getattr(hint, "__origin__", None) is tuple:
+        if hint.__args__[0] is Fraction:
+            return tuple(parse_rational_list(label, value))
+        return tuple(map(hint.__args__[0].from_json, _read(list, value, label)))
     if hasattr(hint, "from_json"):
         return hint.from_json(value)
     if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
