@@ -190,24 +190,19 @@ def test_bulk_and_interval_records_have_no_to_json(cls):
     assert not hasattr(cls, "to_json")
 
 
-def test_records_with_a_to_json():
-    def subclasses(cls):
-        return {cls} | {c for sub in cls.__subclasses__() for c in subclasses(sub)}
-
-    package = [cls for cls in subclasses(Record) if cls.__module__.startswith("cantorval.")]
-    writers = {cls.__name__ for cls in package if hasattr(cls, "to_json")}
-    assert writers == {
-        "Certificate", "Check", "DepthRow", "DepthStack", "DoublingPattern", "GapFamily",
-        "MultigeometricForm", "MultigeometricSeries", "RatioSequence", "ResidualEntry",
-    }
-
-
-
 def record_classes():
     def subclasses(cls):
         return {cls} | {c for sub in cls.__subclasses__() for c in subclasses(sub)}
 
     return [cls for cls in subclasses(Record) if cls.__module__.startswith("cantorval.")]
+
+
+def test_records_with_a_to_json():
+    writers = {cls.__name__ for cls in record_classes() if hasattr(cls, "to_json")}
+    assert writers == {
+        "Certificate", "Check", "DepthRow", "DepthStack", "DoublingPattern", "GapFamily",
+        "MultigeometricForm", "MultigeometricSeries", "RatioSequence", "ResidualEntry",
+    }
 
 
 # values of every record that both writes and reads its JSON: the certificates
