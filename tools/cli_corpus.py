@@ -40,6 +40,9 @@ SPECS = {
     "positive-base": _spec(["1/4", "2/5"], ["7/15", "5/21"]),
     "perturbed": _spec([], ["7/15", "5021/21000"]),
 }
+# each input integer is under the interpreter's 4,300-digit limit, but the exact
+# values at depth 3 are not
+LONG_PERIOD = _spec([], ["1/" + "9" * 1500])
 
 # bad inputs: each must end with one error: line and exit 2, 3 or 4
 REFUSALS = [
@@ -138,6 +141,10 @@ def requests() -> list[tuple[str, list[str]]]:
     out.append(("approx --spec <period of a 4400-digit integer>", ["approx", "--spec", f'{{"lambda": {{"period": [{nines}]}}}}']))
     nested = "[" * 100000 + "]" * 100000
     out.append(("approx --spec <lambda nested 100000 deep>", ["approx", "--spec", f'{{"lambda": {nested}}}']))
+    # exact outputs past the digit limit, under short labels
+    for command, fmt in (("approx", "json"), ("approx", "text"), ("render", "json")):
+        argv = [command, "--spec", LONG_PERIOD, "--depth", "3", "--format", fmt]
+        out.append((f"{command} --spec <period 1/(1500 nines)> --depth 3 --format {fmt}", argv))
     return out
 
 
@@ -191,6 +198,11 @@ def certificate_requests(main) -> list[tuple[str, list[str]]]:
             # a deeper complement-equals-family check
             argv = ["verify", "--spec", cert, "--depth", "12"]
             out.append((f"verify --spec <classify {name}> --depth 12", argv))
+    # a certificate whose check details hold exact values past the digit limit
+    _, cert, _ = run(main, ["classify", "--spec", LONG_PERIOD])
+    for fmt in ("json", "text"):
+        argv = ["verify", "--spec", cert, "--depth", "3", "--format", fmt]
+        out.append((f"verify --spec <classify period 1/(1500 nines)> --depth 3 --format {fmt}", argv))
     return out
 
 
