@@ -4,7 +4,7 @@ Parses spec files (or inline JSON), runs classification, measure, gap, and
 series computations, verifies certificates, and emits deterministic JSON,
 plain text, or self-contained SVG. Exit codes are stable: 0 success,
 1 verification failure, 2 parse/validation error, 3 hypothesis violation,
-4 interval budget exceeded.
+4 interval budget or the interpreter's digit limit on an exact value exceeded.
 """
 
 from __future__ import annotations
@@ -86,11 +86,31 @@ def _load_input(spec: str | None) -> dict:
         origin = spec
     try:
         data = json.loads(source)
-    except (ValueError, RecursionError) as exc:  # also too many digits in an integer, or nesting too deep
-        raise SpecValidationError(f"{origin}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also nesting too deep
+        limit = _digit_limit(exc)
+        reason = f"an integer {limit}" if limit else exc
+        raise SpecValidationError(f"{origin}: invalid JSON: {reason}") from exc
     if not isinstance(data, dict):
         raise SpecValidationError(f"{origin}: top-level JSON must be an object")
     return data
+
+
+def _digit_limit(exc: BaseException) -> str | None:
+    """For the interpreter's refusal to convert an int of more digits than its limit
+    to or from a string, that limit, without the advice to call
+    sys.set_int_max_str_digits(), which a command line cannot take; None for any
+    other error."""
+    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+        return f"has more than {sys.get_int_max_str_digits()} digits, the interpreter's limit"
+    return None
+
+
+def _check_digits(*denoms: int) -> None:
+    """Meet the digit limit on bulk rows before their first byte is written: every
+    end of a union or a gap family lies in [-1, 1], so it has no more digits than
+    its denominator, and converting that raises the ValueError main reports."""
+    for denom in denoms:
+        str(denom)
 
 
 def _lambda_spec(data: dict) -> RatioSequence:
@@ -165,6 +185,7 @@ def _cmd_approx(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     depth = _depth(args, 4)
     union = diff_approximation(seq, depth, budget)
+    _check_digits(union.denom)
     if args.format == "text":
         return _union_text(union), 0
     # _json writes the union's parts straight from its lattice
@@ -180,6 +201,7 @@ def _cmd_gaps(args, budget):
     levels = _depth(args, 3, minimum=1)
     family = gap_family(seq, (), levels, budget=budget)
     if args.format == "json":
+        _check_digits(family.denom)
         return family, 0  # _json writes the levels straight from its lattice
     # the text body prints counts only
     lines = [f"k0: {family.base}"]
@@ -261,6 +283,7 @@ def _cmd_render(args, budget):
     if args.format != "json":
         return {"text": ascii_depth_stack, "svg": svg_depth_stack}[args.format](stack), 0
     # DepthStack.to_json(), with each row's parts and family gaps written by _json from the lattice
+    _check_digits(stack.gap_denom, *(row.union.denom for row in stack.rows))
     rows = []
     for row in stack.rows:
         gaps = _union_rows([lo for lo, _ in row.family_gaps], [hi for _, hi in row.family_gaps], stack.gap_denom)
@@ -511,6 +534,12 @@ def main(argv: list[str] | None = None) -> int:
     except CantorvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except ValueError as exc:
+        limit = _digit_limit(exc)
+        if limit is None:
+            raise
+        print(f"error: an exact value of the result {limit}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

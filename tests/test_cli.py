@@ -46,6 +46,7 @@ UNBASED = [(FULL_SPEC, "FullInterval"), (FINITE_SPEC, "FiniteIntervalUnion"), (S
 EX1_CERT = classify(RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"])).to_json()
 # more decimal digits than CPython converts to an int by default
 NINES = "9" * 4400
+LIMIT = "has more than 4300 digits, the interpreter's limit"
 
 
 def run(capsys, *argv, expect=0):
@@ -295,8 +296,8 @@ class TestExitCodes:
         [
             ("approx", '{"lambda": {"period": ["1/%s"]}}' % NINES, "rational literal of 4402 characters has too many digits"),
             ("verify", json.dumps({**EX1_CERT, "measure": NINES}), "rational literal of 4400 characters has too many digits"),
-            ("approx", '{"lambda": {"period": [%s]}}' % NINES, "inline spec: invalid JSON: Exceeds the limit"),
-            ("verify", json.dumps({**EX1_CERT, "k0": "K"}).replace('"K"', NINES), "inline spec: invalid JSON: Exceeds the limit"),
+            ("approx", '{"lambda": {"period": [%s]}}' % NINES, f"inline spec: invalid JSON: an integer {LIMIT}\n"),
+            ("verify", json.dumps({**EX1_CERT, "k0": "K"}).replace('"K"', NINES), f"inline spec: invalid JSON: an integer {LIMIT}\n"),
             ("approx", '{"lambda": %s}' % ("[" * 100000 + "]" * 100000), "inline spec: invalid JSON: maximum recursion depth"),
         ],
         ids=["long-literal", "long-certificate-measure", "long-integer", "long-certificate-k0", "deep-nesting"],
@@ -305,6 +306,17 @@ class TestExitCodes:
         # past the digit limit of int conversion, or nested past the recursion limit
         _, err = run(capsys, command, "--spec", spec, expect=2)
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, fmt", [("approx", "json"), ("approx", "text"), ("render", "json"), ("verify", "json"), ("verify", "text")]
+    )
+    def test_exact_outputs_past_the_digit_limit_are_refused(self, capsys, command, fmt):
+        # each input integer is under the limit, but the exact values at depth 3 are not
+        spec = json.dumps({"lambda": {"period": ["1/" + "9" * 1500]}})
+        if command == "verify":
+            spec, _ = run(capsys, "classify", "--spec", spec)
+        out, err = run(capsys, command, "--spec", spec, "--depth", "3", "--format", fmt, expect=4)
+        assert out == "" and err == f"error: an exact value of the result {LIMIT}\n"
 
     def test_hypothesis_violation(self, capsys):
         spec = '{"k": {"prefix_bits": "", "period_bits": "10"}}'
