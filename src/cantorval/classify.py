@@ -31,7 +31,6 @@ from .construction import (
     RatioSequence,
     cantor_approximation,
     depth_length,
-    scaled_lengths,
 )
 from .diffsets import (
     Code,
@@ -411,15 +410,15 @@ def _coded_pieces_check(
     a time, every piece must lie inside one part, and every part must be covered
     from its left end to its right end without a hole."""
     charge_power(3, depth, budget)
-    ints, denom = scaled_lengths(seq, depth)
+    table = seq.depth_table(depth)
+    denom = table.denom
     lefts = [-denom]
-    for r in range(1, depth + 1):
-        w = ints[r - 1] - ints[r]
+    for w in table.drops:
         lefts = [x + k * w for x in lefts for k in (0, 1, 2)]
     lefts.sort()
     scale = lcm(denom, union.denom)
     f, u = scale // denom, scale // union.denom
-    width = 2 * ints[depth] * f
+    width = 2 * table.ints[depth] * f
     los, his = [x * u for x in union.los], [x * u for x in union.his]
     reach = list(los)  # how far each part is covered from its left end
     ok = True

@@ -6,13 +6,16 @@ parent interval's length kept by each of its two children. Starting from
 ratios strictly below 1/2 keep the 2^n parts strictly separated, so the
 shifted-copy fold that builds each depth-n approximation only concatenates.
 
-Each sequence caches one exact depth table, extended lazily: d(0..n) as
-Fractions and as integers over their least common denominator. It is the
-only place that multiplies ratios. depth_length, scaled_lengths,
-period_product, the endpoint kernel of diffsets (coded intervals, gaps and
-overlaps, and through it gap_family and cover_alignment), the series sums of
-gapforest and series_from_ratios all read it; it takes no part in equality,
-hashing, repr or JSON.
+Each sequence caches its depth lengths d(0..n) as Fractions, extended
+lazily, and, per depth n, one DepthTable: d(0..n) as integers over their
+least common denominator, with the digit weights d(r-1) - d(r) on that
+lattice. A depth's table is a pure function of (sequence, n), whatever was
+asked before. The cache is the only place that multiplies ratios.
+depth_length and period_product read the Fractions. scaled_lengths, both
+approximations, the endpoint kernel of diffsets (coded intervals, gaps and
+overlaps, and through it gap_family and cover_alignment) and verify's
+coded-pieces check read a table's integers, and the series sums a table's
+Fractions. The cache takes no part in equality, hashing, repr or JSON.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd
 from typing import Iterable, Sequence
 
 from .budget import charge_power
@@ -50,22 +52,23 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
 
 
 class DepthTable:
-    """Exact depth lengths of one sequence: lengths[r] == d(r) == ints[r] / denom,
-    so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r], the scaled
-    weight of digit r. Never mutated, yet not a records.Record: it is the
-    sequence's cache and the gap family's lattice, which nothing compares or prints."""
+    """The depth lengths d(0..n) on their least lattice: lengths[r] == d(r) ==
+    ints[r] / denom, so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r],
+    the scaled weight of digit r. Never mutated, yet not a records.Record: it is
+    the sequence's cache, which nothing compares or prints."""
 
     __slots__ = ("lengths", "ints", "denom", "drops")
 
-    def __init__(self, lengths: tuple, ints: tuple, denom: int):
-        self.lengths, self.ints, self.denom = lengths, ints, denom
+    def __init__(self, lengths: tuple[Fraction, ...]):
+        ints, self.denom = to_lattice(lengths)
+        self.lengths, self.ints = lengths, tuple(ints)
         self.drops = tuple(a - b for a, b in zip(ints, ints[1:]))
 
 
 class RatioSequence(Record, json=True):
     """Eventually periodic ratio sequence: finite prefix, then a repeating period.
 
-    The depth table cached in _depths is not a field."""
+    The depth lengths cached in _lengths and the tables in _tables are not fields."""
 
     prefix: tuple[Fraction, ...] = ()
     period: tuple[Fraction, ...] = ()
@@ -75,21 +78,26 @@ class RatioSequence(Record, json=True):
         object.__setattr__(self, "period", _coerce_entries("period", self.period))
         if not self.period:
             raise SpecValidationError("period must contain at least one ratio")
-        object.__setattr__(self, "_depths", DepthTable((Fraction(1),), (1,), 1))
+        object.__setattr__(self, "_lengths", (Fraction(1),))
+        object.__setattr__(self, "_tables", {})
 
-    def depth_table(self, n: int) -> DepthTable:
-        """The sequence's depth table, reaching at least depth n. A deeper table
-        replaces the cached one whole, so no reader sees one half extended."""
+    def _lengths_to(self, n: int) -> tuple[Fraction, ...]:
+        """The cached depth lengths, reaching at least d(n). A longer tuple
+        replaces the cached one whole, so no reader sees it half extended."""
         if n < 0:
             raise ValueError("depth must be >= 0")
-        table = self._depths
-        if n >= len(table.lengths):
-            lengths = list(table.lengths)
+        lengths = self._lengths
+        if n >= len(lengths):
             for r in range(len(lengths), n + 1):
-                lengths.append(lengths[-1] * self.ratio_at(r))
-            ints, denom = to_lattice(lengths)
-            table = DepthTable(tuple(lengths), tuple(ints), denom)
-            object.__setattr__(self, "_depths", table)
+                lengths += (lengths[-1] * self.ratio_at(r),)
+            object.__setattr__(self, "_lengths", lengths)
+        return lengths
+
+    def depth_table(self, n: int) -> DepthTable:
+        """The depth table of d(0..n), built once per depth."""
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = DepthTable(self._lengths_to(n)[: n + 1])
         return table
 
     @classmethod
@@ -108,7 +116,7 @@ class RatioSequence(Record, json=True):
     def period_product(self) -> Fraction:
         """d(p + q) / d(p), with p and q the prefix and period lengths."""
         p, q = len(self.prefix), len(self.period)
-        lengths = self.depth_table(p + q).lengths
+        lengths = self._lengths_to(p + q)
         return lengths[p + q] / lengths[p]
 
     from_json = classmethod(partial(fields_from_json, label="ratio sequence"))
@@ -116,7 +124,7 @@ class RatioSequence(Record, json=True):
 
 def depth_length(seq: RatioSequence, n: int) -> Fraction:
     """Common length of the 2^n depth-n intervals (1 at depth 0)."""
-    return seq.depth_table(n).lengths[n]
+    return seq._lengths_to(n)[n]
 
 
 def length_drop(seq: RatioSequence, r: int) -> Fraction:
@@ -126,10 +134,8 @@ def length_drop(seq: RatioSequence, r: int) -> Fraction:
 
 def scaled_lengths(seq: RatioSequence, n: int) -> tuple[list[int], int]:
     """Depth lengths 0..n as exact integers over their least common denominator."""
-    ints = seq.depth_table(n).ints[: n + 1]
-    # ints[0] is the table's denominator, so this gcd leaves the least one
-    g = gcd(*ints)
-    return [x // g for x in ints], ints[0] // g
+    table = seq.depth_table(n)
+    return list(table.ints), table.denom
 
 
 def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> ClosedInterval:
@@ -149,7 +155,6 @@ def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = No
     if depth < 0:
         raise ValueError("depth must be >= 0")
     charge_power(2, depth, budget)
-    dints, denom = scaled_lengths(seq, depth)
+    table = seq.depth_table(depth)
     # [0, d_n] + sum over r of {0, w_r}, with w_r = d_{r-1} - d_r
-    weights = (dints[r - 1] - dints[r] for r in range(depth, 0, -1))
-    return fold_copies(weights, 1, 0, dints[depth], denom)
+    return fold_copies(reversed(table.drops), 1, 0, table.ints[depth], table.denom)

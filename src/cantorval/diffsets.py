@@ -33,7 +33,7 @@ from operator import mul
 from typing import Sequence
 
 from .budget import charge_power
-from .construction import THIRD, DepthTable, RatioSequence, scaled_lengths
+from .construction import THIRD, DepthTable, RatioSequence
 from .errors import AssumptionError
 from .intervals import ClosedInterval, IntervalUnion, OpenInterval, fold_copies
 
@@ -81,9 +81,9 @@ def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None
     if depth < 0:
         raise ValueError("depth must be >= 0")
     charge_power(3, depth, budget)
-    dints, denom = scaled_lengths(seq, depth)
-    weights = (dints[r - 1] - dints[r] for r in range(depth, 0, -1))
-    return fold_copies(weights, 2, -denom, 2 * dints[depth] - denom, denom)
+    table = seq.depth_table(depth)
+    denom = table.denom
+    return fold_copies(reversed(table.drops), 2, -denom, 2 * table.ints[depth] - denom, denom)
 
 
 def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .budget import charge_power
-from .construction import THIRD, DepthTable, RatioSequence, depth_length, scaled_lengths
+from .construction import THIRD, RatioSequence, depth_length
 from .diffsets import Code, code_str, diff_interval, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError
 from .rationals import format_scaled
@@ -159,9 +159,7 @@ def gap_family(
         raise ValueError(f"upto {upto} is below the first family level {m}")
     charge_power(3, upto - m + 1, budget, less=1)
     ks = small_ratio_indices(seq, base, upto)
-    # the least lattice of depths 0..ks[-1], however deep the cached table already reaches
-    ints, denom = scaled_lengths(seq, ks[-1])
-    table = DepthTable(seq.depth_table(ks[-1]).lengths[: len(ints)], tuple(ints), denom)
+    table = seq.depth_table(ks[-1])
     km = ks[m - 1]
     lo, _ = scaled_interval(table, digits)
     # each gap of the current level, mapped to the left end of the interval it opens under

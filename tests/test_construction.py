@@ -118,6 +118,21 @@ class TestDepthTable:
         assert [F(x, denom) for x in ints] == lengths
         assert denom == lcm(*(d.denominator for d in lengths))
 
+    @settings(max_examples=60)
+    @given(ratio_sequences(), st.integers(0, 8), st.lists(st.integers(0, 14), max_size=5))
+    def test_table_depends_only_on_its_depth(self, seq, n, warm_up):
+        fresh = RatioSequence(seq.prefix, seq.period).depth_table(n)
+        for depth in warm_up:
+            seq.depth_table(depth)
+        table = seq.depth_table(n)
+        for name in ("lengths", "ints", "denom", "drops"):
+            assert getattr(table, name) == getattr(fresh, name), name
+        lengths = [F(1)]
+        for r in range(1, n + 1):
+            lengths.append(lengths[-1] * seq.ratio_at(r))
+        assert table.lengths == tuple(lengths)
+        assert table.denom == lcm(*(d.denominator for d in lengths))
+
 
 class TestApproximation:
     def test_part_count_and_measure(self):
