@@ -29,20 +29,13 @@ from .records import Record
 
 
 class _Interval(Record, order=True):
-    """The fields shared by closed and open intervals. Intervals are built and
-    compared in bulk, so they hold slots and spell out their equality."""
+    """The fields shared by closed and open intervals. Intervals are built in
+    bulk, so they hold slots and spell out their constructors, which is what
+    bulk building needs; they compare and hash as records."""
 
     __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     @property
     def length(self) -> Fraction:
