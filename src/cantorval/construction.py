@@ -7,15 +7,12 @@ ratios strictly below 1/2 keep the 2^n parts strictly separated, so the
 shifted-copy fold that builds each depth-n approximation only concatenates.
 
 Each sequence caches its depth lengths d(0..n) as Fractions, extended
-lazily, and, per depth n, one DepthTable: d(0..n) as integers over their
-least common denominator, with the digit weights d(r-1) - d(r) on that
-lattice. A depth's table is a pure function of (sequence, n), whatever was
-asked before. The cache is the only place that multiplies ratios.
-depth_length and period_product read the Fractions. scaled_lengths, both
-approximations, the endpoint kernel of diffsets (coded intervals, gaps and
-overlaps, and through it gap_family and cover_alignment) and verify's
-coded-pieces check read a table's integers, and the series sums a table's
-Fractions. The cache takes no part in equality, hashing, repr or JSON.
+lazily, and one DepthTable per depth n: d(0..n) on their least lattice, with
+the digit weights d(r-1) - d(r), a pure function of (sequence, n). The cache
+is the only place that multiplies ratios. depth_length and period_product
+read its Fractions; both approximations, the endpoint kernel of diffsets (and
+through it gap_family and cover_alignment) and the series sums read a table.
+It takes no part in equality, hashing, repr or JSON.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """
