@@ -18,13 +18,6 @@ from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
-from .classify import (
-    VERDICT_CANTOR,
-    Certificate,
-    classify,
-    verification_passed,
-    verify_certificate,
-)
 from .construction import RatioSequence
 from .diffsets import code_str, diff_approximation
 from .errors import (
@@ -33,21 +26,9 @@ from .errors import (
     SpecValidationError,
     VerificationError,
 )
-from .gapforest import GapFamily, gap_family, smallest_valid_base
 from .intervals import IntervalUnion
 from .rationals import fill_rows, format_rational, parse_rational
 from .records import Record
-from .render import ascii_depth_stack, depth_stack, svg_depth_stack
-from .series import (
-    DoublingPattern,
-    MultigeometricSeries,
-    is_fast_convergent,
-    kakeya_classify,
-    multigeometric_form,
-    ratios_from_series,
-    series_from_pattern,
-    series_from_ratios,
-)
 
 _EXAMPLES = (
     {
@@ -145,7 +126,7 @@ def _depth(args, default: int, minimum: int = 0) -> int:
     return depth
 
 
-def _cert_text(cert: Certificate) -> str:
+def _cert_text(cert) -> str:
     lines = [f"verdict: {cert.verdict}", f"rule: {cert.rule}"]
     if cert.measure is not None:
         lines.append(f"measure: {format_rational(cert.measure)}")
@@ -166,11 +147,15 @@ def _cert_text(cert: Certificate) -> str:
 
 
 def _cmd_classify(args, budget):
+    from .classify import classify
+
     cert = classify(_lambda_spec(_load_input(args.spec)), base=args.k0, budget=budget)
     return _cert_text(cert) if args.format == "text" else cert.to_json(), 0
 
 
 def _cmd_measure(args, budget):
+    from .classify import classify
+
     cert = classify(_lambda_spec(_load_input(args.spec)), budget=budget)
     if cert.measure is None:
         raise AssumptionError(
@@ -193,6 +178,8 @@ def _cmd_approx(args, budget):
 
 
 def _cmd_gaps(args, budget):
+    from .gapforest import gap_family, smallest_valid_base
+
     seq = _lambda_spec(_load_input(args.spec))
     base = smallest_valid_base(seq)
     if base > 0:
@@ -202,7 +189,7 @@ def _cmd_gaps(args, budget):
     family = gap_family(seq, (), levels, budget=budget)
     if args.format == "json":
         _check_digits(family.denom)
-        return family, 0  # _json writes the levels straight from its lattice
+        return _family_rows(family), 0
     # the text body prints counts only
     lines = [f"k0: {family.base}"]
     for n, gaps in family.levels:
@@ -211,6 +198,17 @@ def _cmd_gaps(args, budget):
 
 
 def _cmd_series(args, budget):
+    from .series import (
+        DoublingPattern,
+        MultigeometricSeries,
+        is_fast_convergent,
+        kakeya_classify,
+        multigeometric_form,
+        ratios_from_series,
+        series_from_pattern,
+        series_from_ratios,
+    )
+
     data = _load_input(args.spec)
     kinds = set(data) & {"lambda", "series", "k"}
     if len(kinds) != 1:
@@ -261,6 +259,8 @@ def _cmd_series(args, budget):
 
 
 def _cmd_verify(args, budget):
+    from .classify import VERDICT_CANTOR, Certificate, verification_passed, verify_certificate
+
     cert = Certificate.from_json(_load_input(args.spec))
     # a CantorSet's measure check compares depths depth - 1 and depth
     depth = _depth(args, 6, minimum=1 if cert.verdict == VERDICT_CANTOR else 0)
@@ -278,6 +278,8 @@ def _cmd_verify(args, budget):
 
 
 def _cmd_render(args, budget):
+    from .render import ascii_depth_stack, depth_stack, svg_depth_stack
+
     seq = _lambda_spec(_load_input(args.spec))
     stack = depth_stack(seq, _depth(args, 5), budget)
     if args.format != "json":
@@ -292,6 +294,8 @@ def _cmd_render(args, budget):
 
 
 def _cmd_examples(args, budget):
+    from .series import DoublingPattern, series_from_pattern
+
     text = args.format == "text"
     body = []  # one text line or one JSON row per example
     for entry in _EXAMPLES:
@@ -436,6 +440,12 @@ def _level_rows(gaps: dict, denom: int) -> _Rows:
     return _Rows(template=_GAP_ROW, count=len(refs), denom=denom, cut=cut)
 
 
+def _family_rows(family) -> dict:
+    """A GapFamily's to_json(), with each level's gaps as _Rows on the family's lattice."""
+    levels = {str(n): _level_rows(gaps, family.denom) for n, gaps in family.levels}
+    return {"k0": family.base, "levels": levels, "root": code_str(family.root)}
+
+
 def _chunks(row: str, rows: _Rows) -> Iterator[str]:
     for a in range(0, rows.count, _CHUNK_ROWS):
         yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)
@@ -448,14 +458,11 @@ def _union_text(union: IntervalUnion) -> Iterator[str]:
 def _json(value, indent: str = "\n") -> Iterator[str]:
     """The pieces of json.dumps(value, indent=2, sort_keys=True), value standing
     at indent, for the payloads the commands build: dicts with str keys, lists,
-    tuples, str, int, bool and None. An IntervalUnion and a GapFamily are written
-    as their to_json(); their lists of rows, and a _Rows value, go out one piece
-    per chunk of at most _CHUNK_ROWS rows, cut from one template."""
+    tuples, str, int, bool and None. An IntervalUnion is written as its
+    to_json(); its list of parts, and a _Rows value, go out one piece per chunk
+    of at most _CHUNK_ROWS rows, cut from one template."""
     if isinstance(value, IntervalUnion):
         value = _union_rows(value.los, value.his, value.denom)
-    elif isinstance(value, GapFamily):
-        levels = {str(n): _level_rows(gaps, value.denom) for n, gaps in value.levels}
-        value = {"k0": value.base, "levels": levels, "root": code_str(value.root)}
     inner = indent + "  "
     if isinstance(value, (dict, list, tuple)) and value:
         keyed = isinstance(value, dict)

@@ -260,7 +260,7 @@ class TestRender:
         monkeypatch.setattr("cantorval.render.DepthStack.to_json", unused)
         for other, name in {"text": "ascii_depth_stack", "svg": "svg_depth_stack"}.items():
             if other != fmt:
-                monkeypatch.setattr(f"cantorval.cli.{name}", unused)
+                monkeypatch.setattr(f"cantorval.render.{name}", unused)
         out, _ = run(capsys, "render", "--spec", EX1_SPEC, "--depth", "3", "--format", fmt)
         assert out
 
@@ -562,18 +562,39 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "--depth" in out and "--k0" not in out
 
-    def test_well_formed_request_loads_no_argparse(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        argv = ["approx", "--spec", SMALL_SPEC, "--depth", "2", "--format", "text"]
-        # -X importtime lists on stderr every module the process imports
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "cantorval.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+    @pytest.mark.parametrize(
+        "argv, runs, skips",
+        [
+            pytest.param(
+                ["approx", "--spec", SMALL_SPEC, "--depth", "2", "--format", "text"],
+                {"diffsets"},
+                {"classify", "gapforest", "series", "render"},
+                id="approx",
+            ),
+            pytest.param(["gaps", "--spec", EX1_SPEC, "--depth", "2"], {"gapforest"}, {"classify", "series", "render"}, id="gaps"),
+            pytest.param(
+                ["render", "--spec", EX1_SPEC, "--depth", "2", "--format", "text"], {"render"}, {"classify", "series"}, id="render"
+            ),
+            pytest.param(["classify", "--spec", EX1_SPEC], {"classify"}, {"series", "render"}, id="classify"),
+            pytest.param(["examples"], {"series"}, {"render"}, id="examples"),
+        ],
+    )
+    def test_well_formed_request_executes_only_its_modules(self, argv, runs, skips):
+        # a submodule's type is still the lazy loader's subclass until its code has run
+        probe = (
+            "import json, sys, types, cantorval.cli\n"
+            "status = cantorval.cli.main(sys.argv[1:])\n"
+            "ran = [n[10:] for n, m in sys.modules.items() if n.startswith('cantorval.') and type(m) is types.ModuleType]\n"
+            "print(json.dumps([status, ran, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
         )
-        assert done.returncode == 0 and done.stdout.count("\n") == 9
-        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
-        assert "cantorval.diffsets" in imported
-        assert imported.isdisjoint({"argparse", "gettext", "locale"})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        status, ran, parsers = json.loads(done.stdout.splitlines()[-1])
+        assert (status, done.stderr) == (0, "")
+        assert runs <= set(ran) and skips.isdisjoint(ran), ran
+        assert parsers == []
 
 
 _FLAGS = ["--spec", "--depth", "--budget", "--k0", "--format", "--out"]
@@ -805,8 +826,8 @@ class TestJsonWriter:
     def test_chunked_family_levels_match_json_dumps(self, depth):
         # EX1's level 8 holds 4,374 gaps and its level 9 13,122
         family = gap_family(RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"]), (), depth)
-        assert "".join(_json(family)) == _dumps(family.to_json())
-        assert "".join(_json([family])) == _dumps([family.to_json()])
+        assert "".join(_json(cli._family_rows(family))) == _dumps(family.to_json())
+        assert "".join(_json([cli._family_rows(family)])) == _dumps([family.to_json()])
 
     def test_out_file_bytes_equal_stdout_bytes(self, capsys, tmp_path):
         # 3^9 parts span several chunks

@@ -1,0 +1,85 @@
+"""The package surface: the exported names, dir(), and submodules that run on
+first use.
+
+Importing `cantorval` runs none of its submodules; each runs on its first
+attribute access. The names a user reaches through the package are the same
+objects its home modules define, and `cantorval.classify` stays the function
+even once the submodule of that name has been imported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cantorval
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_exported_names_are_their_home_modules_objects():
+    assert len(cantorval.__all__) == len(set(cantorval.__all__)) == 78
+    assert set(cantorval._HOME) == set(cantorval.__all__)
+    listed = dir(cantorval)
+    for name in cantorval.__all__:
+        home = sys.modules[f"cantorval.{cantorval._HOME[name]}"]
+        value = getattr(cantorval, name)
+        assert name in listed and value is getattr(home, name), name
+        # functions and classes say where they were defined
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from cantorval import *", namespace)
+    assert {name: namespace[name] for name in cantorval.__all__} == {
+        name: getattr(cantorval, name) for name in cantorval.__all__
+    }
+
+
+def test_submodules_are_attributes_and_listed():
+    listed = dir(cantorval)
+    for name in cantorval._EXPORTS:
+        assert name in listed
+        if name != "classify":
+            assert getattr(cantorval, name) is sys.modules[f"cantorval.{name}"]
+    assert callable(cantorval.classify)
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="module 'cantorval' has no attribute 'frobnicate'"):
+        cantorval.frobnicate  # noqa: B018
+    assert not hasattr(cantorval, "sys")
+
+
+def test_importing_the_package_runs_no_submodule():
+    probe = (
+        "import sys, types, cantorval; "
+        "print(sorted(n for n, m in sys.modules.items() if n.startswith('cantorval.') and type(m) is types.ModuleType))"
+    )
+    done = fresh("-c", probe)
+    assert (done.stdout, done.stderr) == ("[]\n", "")
+
+
+def test_importing_the_classify_submodule_keeps_the_function():
+    probe = (
+        "import sys, cantorval.classify; "
+        "print(cantorval.classify is sys.modules['cantorval.classify'].classify)"
+    )
+    done = fresh("-c", probe)
+    assert (done.stdout, done.stderr) == ("True\n", "")
+
+
+def test_running_the_cli_module_warns_of_nothing():
+    # runpy would warn if the package had put cantorval.cli in sys.modules
+    done = fresh("-W", "error", "-m", "cantorval.cli", "approx", "--spec", EX1_SPEC, "--depth", "2")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("{")

@@ -183,9 +183,14 @@ def test_hash_of_a_family_with_gaps_is_refused():
 
 
 def test_loading_the_cli_imports_no_code_generators():
-    # dataclasses would load these to generate each record's methods
+    # dataclasses would load these to generate each record's methods; the star
+    # import runs every submodule, which would otherwise run on first use only
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    probe = f"import sys, cantorval.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    probe = (
+        "import sys, types, cantorval.cli; from cantorval import *; "
+        "print([n for n, m in sys.modules.items() if n.startswith('cantorval') and type(m) is not types.ModuleType], "
+        f"[m for m in {heavy!r} if m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] []"
