@@ -18,7 +18,8 @@ from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
-from .construction import RatioSequence
+from .budget import charge_power
+from .construction import THIRD, RatioSequence, depth_length
 from .diffsets import code_str, diff_approximation
 from .errors import (
     AssumptionError,
@@ -169,6 +170,11 @@ def _cmd_measure(args, budget):
 def _cmd_approx(args, budget):
     seq = _lambda_spec(_load_input(args.spec))
     depth = _depth(args, 4)
+    charge_power(3, depth, budget)
+    if depth and seq.ratio_at(depth) < THIRD:
+        # the leftmost part is then exactly [-1, -1 + 2 d_n], so the reduced
+        # denominator of 2 d_n divides union.denom: the same refusal, before the fold
+        _check_digits((2 * depth_length(seq, depth)).denominator)
     union = diff_approximation(seq, depth, budget)
     _check_digits(union.denom)
     if args.format == "text":
@@ -549,5 +555,16 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+def run() -> None:
+    """The command-line entry point: main(), then the process ends with its status
+    once stdout and stderr are flushed, without the interpreter's teardown. main
+    has written every byte by then, and cantorval registers no atexit callback; a
+    SystemExit or exception leaving main takes the normal exit."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,7 +2,9 @@
 
 import contextlib
 import copy
+import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -32,6 +34,11 @@ from cantorval import (
 from cantorval import cli
 from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, _parse_plain, build_parser, main
 from strategies import ratio_sequences
+
+_CORPUS_FILE = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
+_spec = importlib.util.spec_from_file_location("cli_corpus", _CORPUS_FILE)
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
 
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
 SMALL_SPEC = '{"lambda": {"prefix": [], "period": ["1/4"]}}'
@@ -318,6 +325,17 @@ class TestExitCodes:
         out, err = run(capsys, command, "--spec", spec, "--depth", "3", "--format", fmt, expect=4)
         assert out == "" and err == f"error: an exact value of the result {LIMIT}\n"
 
+    def test_an_over_long_approx_is_refused_before_the_fold(self, capsys):
+        # folding the 3^8 parts of 12,000-digit ends first peaked at 66 MB
+        tracemalloc.start()
+        try:
+            out, err = run(capsys, "approx", "--spec", corpus.LONG_PERIOD, "--depth", "8", expect=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == "" and err == f"error: an exact value of the result {LIMIT}\n"
+        assert peak < 5e6, f"peak {peak / 1e6:.2f} MB"
+
     def test_hypothesis_violation(self, capsys):
         spec = '{"k": {"prefix_bits": "", "period_bits": "10"}}'
         _, err = run(capsys, "series", "--spec", spec, expect=3)
@@ -595,6 +613,90 @@ class TestExitCodes:
         assert (status, done.stderr) == (0, "")
         assert runs <= set(ran) and skips.isdisjoint(ran), ran
         assert parsers == []
+
+
+def _parity_requests() -> dict[str, list[str]]:
+    """From the CLI corpus: the first request of each command and --format, the
+    streamed approx of 3^9 parts in both formats, the first refusal of each exit
+    code 2-4, verify on a tampered certificate (exit 1), --help, and examples
+    writing an --out file, whose path the test puts in for {out}."""
+    chosen, formats, codes = {}, set(), set()
+    multi_chunk = [f"approx --spec {corpus.SPECS['quarter']} --depth 9 --format {fmt}" for fmt in ("json", "text")]
+    for label, argv in corpus.requests() + corpus.certificate_requests(main):
+        if argv[:1] and argv[0] in cli._COMMANDS and argv not in corpus.REFUSALS and "--format=text" not in argv:
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else cli._COMMANDS[argv[0]][3][0]
+            if (argv[0], fmt) not in formats:
+                formats.add((argv[0], fmt))
+                chosen[label] = argv
+        if label in multi_chunk or label == "verify --spec <tampered classify ex1> --depth 4":
+            chosen[label] = argv
+    for argv in corpus.REFUSALS:
+        code = corpus.run(main, argv)[0]
+        if code in (2, 3, 4) and code not in codes:
+            codes.add(code)
+            chosen[" ".join(argv)] = argv
+    chosen["--help"] = ["--help"]
+    chosen["examples --out FILE"] = ["examples", "--out", "{out}"]
+    return chosen
+
+
+_PARITY = _parity_requests()
+# (PYTHONUNBUFFERED set, stdout a regular file), taken in turn by the requests
+_STREAMS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestProcessExit:
+    """`python -m cantorval.cli` ends through run(), without the interpreter's
+    teardown; a process must still leave exactly what main() gives in-process."""
+
+    @pytest.mark.parametrize(
+        "label, unbuffered, to_file",
+        [
+            pytest.param(label, *streams, id=f"{label} ({'un' * streams[0]}buffered, stdout a {'file' if streams[1] else 'pipe'})")
+            for label, streams in zip(_PARITY, itertools.cycle(_STREAMS))
+        ],
+    )
+    def test_process_matches_main(self, label, unbuffered, to_file, tmp_path, monkeypatch):
+        argv = _PARITY[label]
+        # argparse wraps its help to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("CANTORVAL_BUDGET", raising=False)
+        outs = {side: tmp_path / f"{side}.out" for side in ("process", "main")}
+        code, out, err = corpus.run(main, [a.replace("{out}", str(outs["main"])) for a in argv])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONIOENCODING": "utf-8"}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "cantorval.cli", *(a.replace("{out}", str(outs["process"])) for a in argv)]
+        with open(tmp_path / "stdout", "w+b") as stdout_file:
+            done = subprocess.run(
+                command, stdout=stdout_file if to_file else subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60
+            )
+            stdout_file.seek(0)
+            stdout = stdout_file.read() if to_file else done.stdout
+        files = [path.read_bytes() if path.exists() else None for path in outs.values()]
+        assert (done.returncode, stdout, done.stderr, files[0]) == (code, out.encode(), err.encode(), files[1])
+
+    def test_run_ends_with_the_status_of_main_and_lets_exits_through(self, capsys, monkeypatch):
+        ended = []
+
+        class Ended(Exception):
+            pass
+
+        def end(status):
+            ended.append((status, capsys.readouterr()))
+            raise Ended
+
+        monkeypatch.setattr(os, "_exit", end)
+        monkeypatch.setattr(sys, "argv", ["cantorval", "approx", "--spec", SMALL_SPEC, "--depth", "8", "--budget", "10"])
+        with pytest.raises(Ended):
+            cli.run()
+        assert ended == [(4, ("", "error: enumeration needs 6561 intervals, budget is 10\n"))]
+        # argparse's exit on --help is the normal one
+        monkeypatch.setattr(sys, "argv", ["cantorval", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0 and len(ended) == 1
 
 
 _FLAGS = ["--spec", "--depth", "--budget", "--k0", "--format", "--out"]

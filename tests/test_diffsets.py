@@ -109,6 +109,14 @@ class TestDiffApproximation:
         brute = normalize(diff_interval(seq, s) for s in product((0, 1, 2), repeat=n))
         assert diff_approximation(seq, n) == brute
 
+    # the CLI's approx refuses on this part's denominator before the fold
+    @example(RatioSequence.constant(THIRD), 3)
+    @settings(max_examples=40, deadline=None)
+    @given(ratio_sequences(), st.integers(1, 7))
+    def test_first_part_is_the_first_piece_exactly_below_a_last_ratio_under_a_third(self, seq, n):
+        first = diff_approximation(seq, n).parts[0]
+        assert (first == ClosedInterval(F(-1), -1 + 2 * depth_length(seq, n))) == (seq.ratio_at(n) < THIRD)
+
     def test_budget_counts_every_coded_interval(self):
         with pytest.raises(DepthBudgetError) as exc:
             diff_approximation(RatioSequence.constant(F(1, 4)), 16, budget=10**6)

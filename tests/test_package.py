@@ -78,6 +78,17 @@ def test_importing_the_classify_submodule_keeps_the_function():
     assert (done.stdout, done.stderr) == ("True\n", "")
 
 
+def test_the_installed_script_ends_through_run():
+    # read as text: Python 3.10, which pyproject.toml allows, has no tomllib
+    lines = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    scripts = lines[lines.index("[project.scripts]") + 1 :]
+    target = scripts[: scripts.index("")] if "" in scripts else scripts
+    assert target == ['cantorval = "cantorval.cli:run"']
+    from cantorval.cli import run
+
+    assert callable(run)
+
+
 def test_running_the_cli_module_warns_of_nothing():
     # runpy would warn if the package had put cantorval.cli in sys.modules
     done = fresh("-W", "error", "-m", "cantorval.cli", "approx", "--spec", EX1_SPEC, "--depth", "2")
