@@ -473,7 +473,7 @@ def verify_certificate(
     if cert.report is not None:
         same("report-matches", fresh.report, cert.report)
 
-    full_hull = IntervalUnion.from_lattice((-1,), (1,), 1)
+    full_hull = IntervalUnion((-1,), (1,), 1)
 
     if cert.verdict == VERDICT_FULL:
         ok = all(diff_approximation(seq, d, budget) == full_hull for d in range(1, depth + 1))

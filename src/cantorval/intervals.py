@@ -5,12 +5,13 @@ parts that touch or overlap are merged, so a normalized union with more than
 one part has strictly separated parts.
 
 An IntervalUnion stores its endpoints on the integer lattice: two int tuples
-over one denominator, reduced so that the form is canonical. Building,
-measuring, comparing, hashing and printing a union therefore costs integer
-work only; the Fraction parts are built once, on first use. Difference-set
-and Cantor approximations and subsum covers are Minkowski sums of one
-interval with point sets, all built by one fold of shifted copies. The fold,
-normalize and the Minkowski products merge through one routine,
+over one denominator, reduced so that the form is canonical, and its one
+constructor takes them so; normalize is the way in from Fraction intervals.
+Building, measuring, comparing, hashing and printing a union therefore costs
+integer work only; the Fraction parts are built once, on first use.
+Difference-set and Cantor approximations and subsum covers are Minkowski sums
+of one interval with point sets, all built by one fold of shifted copies. The
+fold, normalize and the Minkowski products merge through one routine,
 merge_scaled, over integer ends sorted apart.
 """
 
@@ -86,17 +87,8 @@ class IntervalUnion:
 
     __slots__ = ("los", "his", "denom", "_parts")
 
-    def __init__(self, parts: Iterable[ClosedInterval]):
-        parts = tuple(parts)
-        self._set(*_on_lattice(parts))
-        self._parts = parts
-
-    @classmethod
-    def from_lattice(cls, los: Sequence[int], his: Sequence[int], denom: int) -> "IntervalUnion":
+    def __init__(self, los: Sequence[int], his: Sequence[int], denom: int):
         """The union of [los[i] / denom, his[i] / denom]: sorted, strictly separated parts."""
-        return cls.__new__(cls)._set(los, his, denom)
-
-    def _set(self, los: Sequence[int], his: Sequence[int], denom: int) -> "IntervalUnion":
         g = gcd(denom, *los, *his)
         los, his = (tuple(xs) if g == 1 else tuple([x // g for x in xs]) for xs in (los, his))
         denom //= g
@@ -112,7 +104,6 @@ class IntervalUnion:
             j = next(j for j in range(1, len(los)) if los[j] <= his[j - 1])
             raise ValueError(f"parts not normalized near {show(j - 1)} and {show(j)}")
         self.los, self.his, self.denom, self._parts = los, his, denom, None
-        return self
 
     @property
     def parts(self) -> tuple[ClosedInterval, ...]:
@@ -156,14 +147,14 @@ class IntervalUnion:
         return i < len(self.parts) and self.parts[i].lo < hi
 
     def translate(self, offset: Fraction) -> "IntervalUnion":
-        return IntervalUnion(tuple(p.translate(offset) for p in self.parts))
+        return normalize(p.translate(offset) for p in self.parts)
 
     def scale(self, factor: Fraction) -> "IntervalUnion":
-        return IntervalUnion(tuple(p.scale(factor) for p in self.parts))
+        return normalize(p.scale(factor) for p in self.parts)
 
     def mirror(self) -> "IntervalUnion":
         """Reflection through 0."""
-        return IntervalUnion(tuple(ClosedInterval(-p.hi, -p.lo) for p in reversed(self.parts)))
+        return IntervalUnion([-x for x in reversed(self.his)], [-x for x in reversed(self.los)], self.denom)
 
     def to_json(self) -> list[list[str]]:
         los, his = (format_scaled(xs, self.denom) for xs in (self.los, self.his))
@@ -185,16 +176,10 @@ class IntervalUnion:
         return normalize(parts)
 
 
-def _on_lattice(parts: Sequence[ClosedInterval]) -> tuple[list[int], list[int], int]:
-    """Endpoints as integers over their least common denominator."""
-    ints, denom = to_lattice([x for p in parts for x in (p.lo, p.hi)])
-    return ints[0::2], ints[1::2], denom
-
-
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
     """Sort arbitrary closed intervals and merge overlapping or touching ones."""
-    los, his, denom = _on_lattice(tuple(intervals))
-    return IntervalUnion.from_lattice(*merge_scaled(los, his), denom)
+    ints, denom = to_lattice([x for p in intervals for x in (p.lo, p.hi)])
+    return IntervalUnion(*merge_scaled(ints[0::2], ints[1::2]), denom)
 
 
 def complement_gaps(union: IntervalUnion, hull: ClosedInterval) -> list[OpenInterval]:
@@ -245,7 +230,7 @@ def fold_copies(weights: Iterable[int], copies: int, lo: int, hi: int, denom: in
         his = his + [x + s for s in shifts for x in his]
         if not apart:
             los, his = merge_scaled(los, his)
-    return IntervalUnion.from_lattice(los, his, denom)
+    return IntervalUnion(los, his, denom)
 
 
 def _pairwise(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalUnion:
@@ -261,7 +246,7 @@ def _pairwise(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalUnion:
     else:
         los = [x + y for x in alos for y in blos]
         his = [x + y for x in ahis for y in bhis]
-    return IntervalUnion.from_lattice(*merge_scaled(los, his), denom)
+    return IntervalUnion(*merge_scaled(los, his), denom)
 
 
 def minkowski_diff(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:

@@ -900,7 +900,7 @@ class TestJsonWriter:
     @given(ratio_sequences(), st.integers(0, 4))
     def test_union_is_written_as_its_to_json(self, seq, depth):
         union = diff_approximation(seq, depth)
-        empty = IntervalUnion(())
+        empty = IntervalUnion((), (), 1)
         payload = {"parts": union, "nested": [[union, empty]]}
         expected = {"parts": union.to_json(), "nested": [[union.to_json(), []]]}
         assert "".join(_json(payload)) == _dumps(expected)
@@ -918,7 +918,7 @@ class TestJsonWriter:
     def test_chunked_union_rows_match_json_dumps(self, count, denom, offset, step, width):
         # parts around 0, of one width, step apart
         los = [offset + step * (i - count // 2) for i in range(count)]
-        union = IntervalUnion.from_lattice(los, [lo + width % step for lo in los], denom)
+        union = IntervalUnion(los, [lo + width % step for lo in los], denom)
         assert "".join(_json(union)) == _dumps(union.to_json())
         assert "".join(_json({"parts": [union]})) == _dumps({"parts": [union.to_json()]})
         text = "".join(f"[{lo}, {hi}]\n" for lo, hi in union.to_json())

@@ -62,7 +62,8 @@ def naive_minkowski(a: IntervalUnion, b: IntervalUnion, diff: bool) -> IntervalU
         raw = [ClosedInterval(p.lo - q.hi, p.hi - q.lo) for p in a.parts for q in b.parts]
     else:
         raw = [ClosedInterval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts]
-    return IntervalUnion(tuple(ClosedInterval(lo, hi) for lo, hi in fraction_merge(raw)))
+    ints, denom = to_lattice([x for pair in fraction_merge(raw) for x in pair])
+    return IntervalUnion(ints[0::2], ints[1::2], denom)
 
 
 def brute_measure(parts, probes):
@@ -84,10 +85,6 @@ class TestBasics:
     def test_open_interval_rejects_degenerate(self):
         with pytest.raises(ValueError):
             OpenInterval(F(1, 2), F(1, 2))
-
-    def test_union_rejects_touching_parts(self):
-        with pytest.raises(ValueError):
-            IntervalUnion((ClosedInterval(F(0), F(1)), ClosedInterval(F(1), F(2))))
 
     def test_normalize_merges_touching(self):
         u = normalize([ClosedInterval(F(0), F(1)), ClosedInterval(F(1), F(2))])
@@ -180,6 +177,15 @@ class TestProperties:
         shifted = minkowski_diff(a.translate(c), a)
         assert shifted == minkowski_diff(a, a).translate(c)
 
+    @given(unions())
+    def test_mirror_matches_the_fraction_formula(self, u):
+        m = u.mirror()
+        assert m.parts == tuple(ClosedInterval(-p.hi, -p.lo) for p in reversed(u.parts))
+        # the negated lattice ends stay reduced, so the fields are the canonical ones
+        ref = normalize(m.parts)
+        assert (m.los, m.his, m.denom) == (ref.los, ref.his, ref.denom)
+        assert m == ref and hash(m) == hash(ref) and m.mirror() == u
+
     @given(unions(min_size=1, max_size=4))
     def test_diff_contains_zero_and_is_symmetric(self, a):
         d = minkowski_diff(a, a)
@@ -202,7 +208,7 @@ def loop_merge(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 class TestScaledPipeline:
     def test_merge_scaled_matches_normalize(self):
         pairs = [(4, 7), (0, 2), (2, 3), (9, 10)]
-        merged = IntervalUnion.from_lattice(*merge_scaled([4, 0, 2, 9], [7, 2, 3, 10]), 6)
+        merged = IntervalUnion(*merge_scaled([4, 0, 2, 9], [7, 2, 3, 10]), 6)
         direct = normalize([ClosedInterval(F(lo, 6), F(hi, 6)) for lo, hi in pairs])
         assert merged == direct
 
@@ -296,7 +302,7 @@ class TestLattice:
         denom = factor * lcm(*(x.denominator for pair in expected for x in pair))
         los = [int(lo * denom) for lo, _ in expected]
         his = [int(hi * denom) for _, hi in expected]
-        u = IntervalUnion.from_lattice(los, his, denom)
+        u = IntervalUnion(los, his, denom)
         ref = normalize(items)
         assert u.parts == ref.parts == tuple(ClosedInterval(lo, hi) for lo, hi in expected)
         assert u.measure == ref.measure == sum((hi - lo for lo, hi in expected), F(0))
@@ -308,11 +314,11 @@ class TestLattice:
             touching = his[:]
             touching[j - 1] = los[j]
             with pytest.raises(ValueError, match="parts not normalized"):
-                IntervalUnion.from_lattice(los, touching, denom)
+                IntervalUnion(los, touching, denom)
 
     def test_same_set_over_denominators_6_and_12(self):
-        a = IntervalUnion.from_lattice([-3, 1], [-1, 4], 6)
-        b = IntervalUnion.from_lattice([-6, 2], [-2, 8], 12)
+        a = IntervalUnion([-3, 1], [-1, 4], 6)
+        b = IntervalUnion([-6, 2], [-2, 8], 12)
         assert a == b and hash(a) == hash(b)
         assert (b.los, b.his, b.denom) == ((-3, 1), (-1, 4), 6)
         assert b.to_json() == [["-1/2", "-1/6"], ["1/6", "2/3"]]
@@ -331,9 +337,12 @@ class TestLattice:
 
     def test_lattice_invariant_messages(self):
         with pytest.raises(ValueError, match=r"^closed interval needs lo <= hi, got \[1/3, 0\]$"):
-            IntervalUnion.from_lattice([1], [0], 3)
+            IntervalUnion([1], [0], 3)
         with pytest.raises(ValueError, match=r"^parts not normalized near \[0, 1\] and \[1, 3/2\]$"):
-            IntervalUnion.from_lattice([0, 2], [2, 3], 2)
+            IntervalUnion([0, 2], [2, 3], 2)
+        # parts that only touch must already be merged
+        with pytest.raises(ValueError, match=r"^parts not normalized near \[0, 1\] and \[1, 2\]$"):
+            IntervalUnion([0, 1], [1, 2], 1)
 
     @pytest.mark.parametrize(
         "data, words",

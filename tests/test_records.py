@@ -26,7 +26,7 @@ from cantorval.series import DoublingPattern, MultigeometricForm, Multigeometric
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EX1 = RatioSequence((), (F(7, 15), F(5, 21)))
-UNION = IntervalUnion([ClosedInterval(F(-1), F(1))])
+UNION = IntervalUnion((-1,), (1,), 1)
 ROW = StackRow(0, UNION, ())
 
 # every record class: its fields by keyword, then the same with one field changed
