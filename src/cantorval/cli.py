@@ -361,10 +361,8 @@ _OPTIONS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser. Given a command's name, it builds that command's
-    subparser alone, which parses every argv that starts with the name the
-    same way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, with one subparser per command."""
     import argparse  # only help and the argv _parse_plain declines load it
 
     class _Parser(argparse.ArgumentParser):
@@ -378,8 +376,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, help_text, options, formats) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         for option in options:
             kind, option_help = _OPTIONS[option]
@@ -391,7 +387,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace build_parser(argv[0]).parse_args(argv) gives, for a command
+    """The namespace build_parser().parse_args(argv) gives, for a command
     followed by "--flag value" pairs: each flag one of the command's, spelled in
     full and given once, no value starting with "-", each int value taken by
     int() and the format one of the command's. None for any other argv."""
@@ -529,8 +525,7 @@ def main(argv: list[str] | None = None) -> int:
             argv = argv[1:]
         args = _parse_plain(argv)
         if args is None:
-            # help and a missing or unknown command list every command
-            args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         # series and examples take no --budget and so read no CANTORVAL_BUDGET either
         budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None
         body, status = _HANDLERS[args.command](args, budget)
