@@ -9,9 +9,9 @@ shifted-copy fold that builds each depth-n approximation only concatenates.
 Each sequence caches its depth lengths d(0..n) as Fractions, extended
 lazily, and one DepthTable per depth n: d(0..n) on their least lattice, with
 the digit weights d(r-1) - d(r), a pure function of (sequence, n). The cache
-is the only place that multiplies ratios. depth_length and period_product
-read its Fractions; both approximations, the endpoint kernel of diffsets (and
-through it gap_family and cover_alignment) and the series sums read a table.
+is the only place that multiplies ratios. depth_length, period_product and
+the series sums read its Fractions; both approximations and the endpoint
+kernel of diffsets (and through it gap_family and cover_alignment) read a table.
 It takes no part in equality, hashing, repr or JSON.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
@@ -49,16 +49,16 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
 
 
 class DepthTable:
-    """The depth lengths d(0..n) on their least lattice: lengths[r] == d(r) ==
-    ints[r] / denom, so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r],
-    the scaled weight of digit r. Never mutated, yet not a records.Record: it is
-    the sequence's cache, which nothing compares or prints."""
+    """The depth lengths d(0..n) on their least lattice: d(r) == ints[r] / denom,
+    so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r], the scaled
+    weight of digit r. Never mutated, yet not a records.Record: it is the
+    sequence's cache, which nothing compares or prints."""
 
-    __slots__ = ("lengths", "ints", "denom", "drops")
+    __slots__ = ("ints", "denom", "drops")
 
     def __init__(self, lengths: tuple[Fraction, ...]):
         ints, self.denom = to_lattice(lengths)
-        self.lengths, self.ints = lengths, tuple(ints)
+        self.ints = tuple(ints)
         self.drops = tuple(a - b for a, b in zip(ints, ints[1:]))
 
 

@@ -208,9 +208,9 @@ def small_index_series(
     ratio = Fraction(growth) ** per_period * seq.period_product
     if ratio >= 1:
         raise AssumptionError(f"series does not converge: block ratio {ratio} is not below 1")
-    d = seq.depth_table(ks[-1]).lengths
     terms = [
-        (k, growth ** (n - 1) * (d[k - 1] - shrink * d[k])) for n, k in enumerate(ks, 1) if n >= start
+        (k, growth ** (n - 1) * (depth_length(seq, k - 1) - shrink * depth_length(seq, k)))
+        for n, k in enumerate(ks, 1) if n >= start
     ]
     head = sum((t for k, t in terms if k <= prefix_len), Fraction(0))
     block = sum([t for k, t in terms if k > prefix_len][:per_period], Fraction(0))

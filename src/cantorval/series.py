@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .budget import charge_power
 from .classify import VERDICT_CANTORVAL, Certificate, classify
-from .construction import RatioSequence
+from .construction import RatioSequence, length_drop
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .intervals import IntervalUnion, fold_copies
 from .rationals import to_lattice
@@ -90,8 +90,7 @@ class MultigeometricSeries(Record, json=True):
 def series_from_ratios(seq: RatioSequence) -> MultigeometricSeries:
     """Lengths removed at each depth: term j is d(j-1) - d(j). Sums to 1."""
     span = len(seq.prefix) + len(seq.period)
-    d = seq.depth_table(span).lengths
-    drops = [d[j - 1] - d[j] for j in range(1, span + 1)]
+    drops = [length_drop(seq, j) for j in range(1, span + 1)]
     return MultigeometricSeries(
         prefix=tuple(drops[: len(seq.prefix)]),
         block=tuple(drops[len(seq.prefix) :]),
