@@ -131,6 +131,8 @@ def requests() -> list[tuple[str, list[str]]]:
         add("gaps", "--spec", SPECS[name], "--depth", "8")
     series = '{"series": {"prefix": [], "block": ["1", "1"], "ratio": "1/9"}}'
     add("series", "--spec", series)
+    # every term exceeds its remainder past the prefix, but the first does not
+    add("series", "--spec", '{"series": {"prefix": ["1"], "block": ["1"], "ratio": "1/3"}}')
     for fmt in ("json", "text"):
         add("examples", "--format", fmt)
     out += [(" ".join(argv) or "(no arguments)", argv) for argv in REFUSALS]
