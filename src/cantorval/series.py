@@ -134,20 +134,21 @@ def ratios_from_series(series: MultigeometricSeries) -> RatioSequence:
 
 
 def kakeya_classify(series: MultigeometricSeries) -> str:
-    """Classify the subsum set by the term-versus-remainder comparisons.
+    """Classify the subsum set by Kakeya's term-versus-remainder comparisons.
 
-    Strict excess everywhere gives a Cantor set; excess failing at every
-    eventually-periodic position gives a finite union of intervals; a mix
-    is inconclusive at this level of analysis.
+    Past the prefix both sides of each comparison scale by the ratio from one
+    block to the next, so one block of positions decides them all. A term
+    strictly exceeding its remainder at every such position gives a Cantor
+    set, at none a finite union of intervals; a mix is inconclusive at this
+    level of analysis.
     """
-    if is_fast_convergent(series):
-        return "CantorSet"
     lo = len(series.prefix) + 1
     hi = len(series.prefix) + len(series.block)
     remainders = _remainders(series, hi)
-    if all(series.term(j) <= remainders[j] for j in range(lo, hi + 1)):
-        return "FiniteIntervalUnion"
-    return "Inconclusive"
+    excess = [series.term(j) > remainders[j] for j in range(lo, hi + 1)]
+    if all(excess):
+        return "CantorSet"
+    return "Inconclusive" if any(excess) else "FiniteIntervalUnion"
 
 
 def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = None) -> IntervalUnion:

@@ -114,6 +114,21 @@ class TestKakeya:
         assert is_fast_convergent(s)
         assert kakeya_classify(s) == "CantorSet"
 
+    def test_eventually_fast_series_gives_cantor_set(self):
+        # the first term falls short of its remainder and every later one exceeds
+        # its own: by Kakeya's theorem the subsum set is still a Cantor set
+        s = MultigeometricSeries(prefix=(F(1),), block=(F(1),), ratio=F(1, 3))
+        assert not is_fast_convergent(s)
+        assert s.term(1) < s.remainder(1)
+        assert all(s.term(j) > s.remainder(j) for j in range(2, 8))
+        assert kakeya_classify(s) == "CantorSet"
+
+    def test_guthrie_nymann_block_is_inconclusive(self):
+        # terms 3/4, 1/2, 3/16, 1/8, ...: a Cantorval, neither case of the rule
+        s = MultigeometricSeries(block=(F(3, 4), F(1, 2)), ratio=F(1, 4))
+        assert s.term(1) < s.remainder(1) and s.term(2) > s.remainder(2)
+        assert kakeya_classify(s) == "Inconclusive"
+
     def test_critical_series_gives_interval(self):
         s = MultigeometricSeries(block=(F(1),), ratio=F(1, 2))
         assert kakeya_classify(s) == "FiniteIntervalUnion"
