@@ -86,6 +86,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             OpenInterval(F(1, 2), F(1, 2))
 
+    def test_union_rejects_touching_parts(self):
+        # parts that only touch must already be merged
+        with pytest.raises(ValueError, match=r"^parts not normalized near \[0, 1\] and \[1, 2\]$"):
+            IntervalUnion([0, 1], [1, 2], 1)
+
     def test_normalize_merges_touching(self):
         u = normalize([ClosedInterval(F(0), F(1)), ClosedInterval(F(1), F(2))])
         assert u.parts == (ClosedInterval(F(0), F(2)),)
@@ -339,9 +344,6 @@ class TestLattice:
             IntervalUnion([1], [0], 3)
         with pytest.raises(ValueError, match=r"^parts not normalized near \[0, 1\] and \[1, 3/2\]$"):
             IntervalUnion([0, 2], [2, 3], 2)
-        # parts that only touch must already be merged
-        with pytest.raises(ValueError, match=r"^parts not normalized near \[0, 1\] and \[1, 2\]$"):
-            IntervalUnion([0, 1], [1, 2], 1)
 
     @pytest.mark.parametrize(
         "data, words",
