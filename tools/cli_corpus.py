@@ -66,6 +66,11 @@ REFUSALS = [
     ["render", "--spec", SPECS["ex1"], "--k0", "1"],
     ["series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "11"}}'],
     ["series", "--spec", '{"k": {"prefix_bits": "", "period_bits": "01"}, "lambda": {"period": ["1/4"]}}'],
+    ["series", "--spec", '{"k": {"prefix_bits": ""}}'],
+    ["series", "--spec", '{"k": {"period_bits": ""}}'],
+    ["series", "--spec", '{"k": "01"}'],
+    ["series", "--spec", '{"series": {"block": ["1"]}}'],
+    ["series", "--spec", '{"series": {"block": ["1"], "ratio": "1/3", "note": 1}}'],
     ["measure", "--spec", SPECS["ex1"], "--k0", "1"],
     ["examples", "--budget", "5"],
     ["gaps", "--spec", SPECS["ex1"], "--k0", "0"],
