@@ -101,25 +101,6 @@ def _lambda_spec(data: dict) -> RatioSequence:
     return RatioSequence.from_json(data["lambda"])
 
 
-def _resolve_cli_budget(args) -> int | None:
-    if args.budget is not None:
-        if args.budget < 1:
-            raise SpecValidationError("--budget must be >= 1")
-        return args.budget
-    env = os.environ.get("CANTORVAL_BUDGET")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SpecValidationError(
-                f"CANTORVAL_BUDGET must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise SpecValidationError("CANTORVAL_BUDGET must be >= 1")
-        return value
-    return None
-
-
 def _depth(args, default: int, minimum: int = 0) -> int:
     depth = default if args.depth is None else args.depth
     if depth < minimum:
@@ -526,8 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_plain(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-        # series and examples take no --budget and so read no CANTORVAL_BUDGET either
-        budget = _resolve_cli_budget(args) if "budget" in _COMMANDS[args.command][2] else None
+        budget = getattr(args, "budget", None)  # series and examples take no --budget
+        if budget is not None and budget < 1:
+            raise SpecValidationError("--budget must be >= 1")
         body, status = _HANDLERS[args.command](args, budget)
         try:
             _emit(args, body)

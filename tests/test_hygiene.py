@@ -1,8 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-No module imports a name it never uses, and every private top-level
-function, class and constant is referenced from somewhere other than its own
-definition.
+No module imports a name it never uses, every private top-level function,
+class and constant is referenced from somewhere other than its own
+definition, and no module reads the process environment.
 """
 
 import ast
@@ -98,3 +98,33 @@ def test_unreferenced_flags_dead_classes_and_constants():
     # assigning the same name in another module is no reference
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("_DEAD = 4\n")}
     assert unreferenced("m.py", trees, CLASSES_AND_CONSTANTS) == ["_DEAD (line 2)", "_TYPED (line 3)", "_Gone (line 4)"]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.Module) -> list[str]:
+    """Each read of the process environment through the os module, by line."""
+    modules = {"os"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "os" and a.asname}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"from os import {a.name} (line {node.lineno})" for a in node.names if a.name in ENVIRONMENT]
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                reads.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # a request's result depends on its command line alone
+    reads = environment_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert reads == [], f"{path.name} reads the process environment: {reads}"
+
+
+def test_environment_reads_flags_every_spelling():
+    source = "import os\nimport os as o\nfrom os import getenvb, sep\nos.environ['A']\no.getenv('B')\nos.environb\nos.sep\n"
+    assert set(environment_reads(ast.parse(source))) == {
+        "from os import getenvb (line 3)", "os.environ (line 4)", "o.getenv (line 5)", "os.environb (line 6)"
+    }

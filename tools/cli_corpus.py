@@ -8,10 +8,9 @@ give the same bytes on every request exactly when their outputs are equal:
 
     diff <(python3 tools/cli_corpus.py OLD/src) <(python3 tools/cli_corpus.py src)
 
-CANTORVAL_BUDGET is removed from the environment first, so only the corpus's
-own --budget flags apply. The corpus is fixed and deterministic; it covers
-every subcommand and format, refusals and parse errors, and `verify` on the
-certificate `classify` gives for each verdict. It takes a few seconds.
+The corpus is fixed and deterministic; it covers every subcommand and format,
+refusals and parse errors, and `verify` on the certificate `classify` gives
+for each verdict. It takes a few seconds.
 """
 
 from __future__ import annotations
@@ -217,7 +216,6 @@ def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    os.environ.pop("CANTORVAL_BUDGET", None)
     # argparse wraps usage and help text to the terminal width
     os.environ["COLUMNS"] = "80"
     sys.path.insert(0, os.path.abspath(sys.argv[1]))
