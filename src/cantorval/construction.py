@@ -7,12 +7,12 @@ ratios strictly below 1/2 keep the 2^n parts strictly separated, so the
 shifted-copy fold that builds each depth-n approximation only concatenates.
 
 Each sequence caches its depth lengths d(0..n) as Fractions, extended
-lazily, and one DepthTable per depth n: d(0..n) on their least lattice, with
-the digit weights d(r-1) - d(r), a pure function of (sequence, n). The cache
-is the only place that multiplies ratios. depth_length, period_product and
-the series sums read its Fractions; both approximations and the endpoint
-kernel of diffsets (and through it gap_family and cover_alignment) read a table.
-It takes no part in equality, hashing, repr or JSON.
+lazily; the cache is the only place that multiplies ratios and takes no part
+in equality, hashing, repr or JSON. depth_length, period_product and the
+series sums read its Fractions. depth_table(n) puts d(0..n) on their least
+lattice, with the digit weights d(r-1) - d(r), a pure function of
+(sequence, n); both approximations and the endpoint kernel of diffsets (and
+through it gap_family and cover_alignment) read such a table.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """
@@ -51,8 +51,8 @@ def _coerce_entries(label: str, entries: Iterable) -> tuple[Fraction, ...]:
 class DepthTable:
     """The depth lengths d(0..n) on their least lattice: d(r) == ints[r] / denom,
     so ints[0] == denom, and drops[r - 1] == ints[r - 1] - ints[r], the scaled
-    weight of digit r. Never mutated, yet not a records.Record: it is the
-    sequence's cache, which nothing compares or prints."""
+    weight of digit r. Never mutated, yet not a records.Record: nothing
+    compares or prints it."""
 
     __slots__ = ("ints", "denom", "drops")
 
@@ -65,7 +65,7 @@ class DepthTable:
 class RatioSequence(Record, json=True):
     """Eventually periodic ratio sequence: finite prefix, then a repeating period.
 
-    The depth lengths cached in _lengths and the tables in _tables are not fields."""
+    The depth lengths cached in _lengths are not a field."""
 
     prefix: tuple[Fraction, ...] = ()
     period: tuple[Fraction, ...] = ()
@@ -76,7 +76,6 @@ class RatioSequence(Record, json=True):
         if not self.period:
             raise SpecValidationError("period must contain at least one ratio")
         object.__setattr__(self, "_lengths", (Fraction(1),))
-        object.__setattr__(self, "_tables", {})
 
     def _lengths_to(self, n: int) -> tuple[Fraction, ...]:
         """The cached depth lengths, reaching at least d(n). A longer tuple
@@ -91,11 +90,8 @@ class RatioSequence(Record, json=True):
         return lengths
 
     def depth_table(self, n: int) -> DepthTable:
-        """The depth table of d(0..n), built once per depth."""
-        table = self._tables.get(n)
-        if table is None:
-            table = self._tables[n] = DepthTable(self._lengths_to(n)[: n + 1])
-        return table
+        """The depth table of d(0..n)."""
+        return DepthTable(self._lengths_to(n)[: n + 1])
 
     @classmethod
     def constant(cls, value) -> "RatioSequence":
