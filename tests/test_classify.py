@@ -108,6 +108,8 @@ class TestResiduals:
         entries = equation_residuals(EX1, 0)
         assert residuals_vanish(entries)
         assert [(e.index, e.case) for e in entries] == [(1, ">=,<"), (2, "<,>=")]
+        # without a base, the smallest valid one, 0
+        assert equation_residuals(EX1) == entries
 
     def test_all_three_cases_appear_in_longer_period(self):
         entries = equation_residuals(EX2, 0)
@@ -184,6 +186,8 @@ class TestClassify:
         assert cert.measure is None
         assert cert.report is not None and len(cert.report) > 0
         assert any(e.value != 0 for e in cert.residuals)
+        with pytest.raises(AssumptionError, match="cover equation fails at index 1"):
+            cantorval_measure(EX1_PERTURBED)
 
     def test_unknown_without_a_valid_base(self):
         # mixed, but no ratio lies strictly above 1/3, so no cover equation has a base
@@ -203,6 +207,8 @@ class TestClassify:
     def test_explicit_invalid_base_is_rejected(self):
         with pytest.raises(AssumptionError):
             classify(EX1, base=1)
+        with pytest.raises(AssumptionError, match="base -1 is invalid: it must be >= 0"):
+            classify(EX1, base=-1)
 
     def test_certificate_json_round_trip(self):
         for seq in (EX1, FINITE, CANTOR_SMALL, FULL_THIRD, EX1_PERTURBED):
@@ -278,10 +284,15 @@ class TestWitness:
     def test_family_member_has_no_witness(self):
         with pytest.raises(ValueError):
             cover_witness(EX1, (0,), 0)
+        with pytest.raises(ValueError, match="gap code must extend the root code"):
+            cover_witness(EX1, (0, 1, 0), 0, root=(1,))
 
     def test_no_gap_at_large_ratio_depth(self):
         with pytest.raises(AssumptionError):
             cover_witness(EX1, (0, 1), 0)  # depth 3 has ratio 7/15
+        # depth 2 has ratio 5/21, but lies at or below the base
+        with pytest.raises(AssumptionError, match="depth 2 is not a small-ratio depth beyond base 2"):
+            cover_witness(EX1, (0,), 0, base=2)
 
     @pytest.mark.parametrize("seq", [EX1, EX2, EX3], ids=["ex1", "ex2", "ex3"])
     def test_alignment_holds_at_first_levels(self, seq):

@@ -292,11 +292,15 @@ class TestExamples:
 
 
 class TestExitCodes:
-    def test_parse_errors(self, capsys):
+    def test_parse_errors(self, capsys, tmp_path):
         run(capsys, "classify", "--spec", '{"lambda": {"period": ["0.5"]}}', expect=2)
         run(capsys, "classify", "--spec", "no-such-file.json", expect=2)
         run(capsys, "classify", expect=2)  # missing --spec
         run(capsys, "classify", "--spec", '["not", "an", "object"]', expect=2)
+        array = tmp_path / "array.json"
+        array.write_text('["not", "an", "object"]', encoding="utf-8")
+        _, err = run(capsys, "classify", "--spec", str(array), expect=2)
+        assert err == f"error: {array}: top-level JSON must be an object\n"
 
     @pytest.mark.parametrize(
         "command, spec, message",

@@ -35,6 +35,8 @@ class TestRatioSequence:
             RatioSequence(prefix=(F(0),), period=(F(1, 3),))
         with pytest.raises(SpecValidationError):
             RatioSequence(prefix=(), period=(F(-1, 4),))
+        with pytest.raises(SpecValidationError, match="period entry 1 is not a rational: 'x'"):
+            RatioSequence(period=("x",))
 
     def test_rejects_empty_period(self):
         with pytest.raises(SpecValidationError):

@@ -146,6 +146,8 @@ class TestFamily:
         family = gap_family(EX1, (), 4)
         for n, size in EX1_LEVEL_SIZES.items():
             assert len(family.level(n)) == size
+        with pytest.raises(KeyError):
+            family.level(5)
 
     def test_budget_counts_every_gap_before_building(self):
         # levels 1..7 hold 2 + 6 + ... + 2*3^6 = 3^7 - 1 gaps
@@ -219,6 +221,8 @@ class TestFamily:
         assert first_level(EX1, ()) == 1
         # a root of length k_1 = 2 starts growing gaps at level 2
         assert first_level(EX1, (0, 1)) == 2
+        with pytest.raises(AssumptionError, match="root code length 1 must be at least the base 2"):
+            first_level(EX1, (0,), base=2)
 
     def test_to_json_rows_sorted(self):
         family = gap_family(EX1, (), 2)
@@ -272,6 +276,8 @@ class TestSeriesSums:
         # sum of d_{k_n - 1} - d_{k_n} over all levels: the extreme spread
         total = small_index_series(EX1, 0, 1, F(1))
         assert total == F(2, 5)
+        with pytest.raises(AssumptionError, match="series does not converge"):
+            small_index_series(EX1, 0, growth=100, shrink=F(1))
 
     @settings(max_examples=60)
     @given(mixed_with_base(), st.sampled_from([(1, F(1)), (3, F(3))]))
