@@ -105,7 +105,8 @@ ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 def environment_reads(tree: ast.Module) -> list[str]:
     """Each read of the process environment through the os module, by line."""
-    modules = {"os"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "os" and a.asname}
+    imports = (a for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names)
+    modules = {"os"} | {a.asname for a in imports if a.name == "os" and a.asname}
     reads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "os":
