@@ -5,6 +5,11 @@ series computations, verifies certificates, and emits deterministic JSON,
 plain text, or self-contained SVG. Exit codes are stable: 0 success,
 1 verification failure, 2 parse/validation error, 3 hypothesis violation,
 4 interval budget or the interpreter's digit limit on an exact value exceeded.
+
+This module holds what every request runs: the argv parser, main, the
+command table, the writer and the `approx` handler. Every other handler sits
+in a handler module (`_cli_certify`, `_cli_gaps`, `_cli_series`) imported
+only when its command runs, so a request compiles no other command's code.
 """
 
 from __future__ import annotations
@@ -12,140 +17,18 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Iterator
+from importlib import import_module
 from itertools import chain
-from pathlib import Path
 from types import SimpleNamespace
 
+from ._cli_common import _check_digits, _depth, _digit_limit, _lambda_spec, _load_input, _Rows, _union_rows
 from .budget import charge_power
-from .construction import THIRD, RatioSequence, depth_length
-from .diffsets import code_str, diff_approximation
-from .errors import (
-    AssumptionError,
-    CantorvalError,
-    SpecValidationError,
-    VerificationError,
-)
+from .construction import THIRD, depth_length
+from .diffsets import diff_approximation
+from .errors import CantorvalError, SpecValidationError
 from .intervals import IntervalUnion
-from .rationals import fill_rows, format_rational, parse_rational
-from .records import Record
-
-_EXAMPLES = (
-    {
-        "k_rule": "2n",
-        "period_bits": (0, 1),
-        "period": ("7/15", "5/21"),
-        "measure": "8/5",
-    },
-    {
-        "k_rule": "3n",
-        "period_bits": (0, 0, 1),
-        "period": ("8/21", "11/24", "7/33"),
-        "measure": "13/7",
-    },
-    {
-        "k_rule": "2,3,5,6,...",
-        "period_bits": (0, 1, 1),
-        "period": ("25/51", "23/75", "17/69"),
-        "measure": "26/17",
-    },
-)
-
-
-def _load_input(spec: str | None) -> dict:
-    """Accept a file path or inline JSON (anything starting with '{')."""
-    if spec is None:
-        raise SpecValidationError("this command needs --spec")
-    raw = spec.strip()
-    if raw.startswith("{"):
-        source, origin = raw, "inline spec"
-    else:
-        try:
-            source = Path(spec).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SpecValidationError(f"cannot read spec file {spec}: {exc}") from exc
-        origin = spec
-    try:
-        data = json.loads(source)
-    except (ValueError, RecursionError) as exc:  # also nesting too deep
-        limit = _digit_limit(exc)
-        reason = f"an integer {limit}" if limit else exc
-        raise SpecValidationError(f"{origin}: invalid JSON: {reason}") from exc
-    if not isinstance(data, dict):
-        raise SpecValidationError(f"{origin}: top-level JSON must be an object")
-    return data
-
-
-def _digit_limit(exc: BaseException) -> str | None:
-    """For the interpreter's refusal to convert an int of more digits than its limit
-    to or from a string, that limit, without the advice to call
-    sys.set_int_max_str_digits(), which a command line cannot take; None for any
-    other error."""
-    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
-        return f"has more than {sys.get_int_max_str_digits()} digits, the interpreter's limit"
-    return None
-
-
-def _check_digits(*denoms: int) -> None:
-    """Meet the digit limit on bulk rows before their first byte is written: every
-    end of a union or a gap family lies in [-1, 1], so it has no more digits than
-    its denominator, and converting that raises the ValueError main reports."""
-    for denom in denoms:
-        str(denom)
-
-
-def _lambda_spec(data: dict) -> RatioSequence:
-    if "lambda" not in data:
-        raise SpecValidationError('expected a top-level "lambda" key')
-    return RatioSequence.from_json(data["lambda"])
-
-
-def _depth(args, default: int, minimum: int = 0) -> int:
-    depth = default if args.depth is None else args.depth
-    if depth < minimum:
-        raise SpecValidationError(f"--depth must be >= {minimum}")
-    return depth
-
-
-def _cert_text(cert) -> str:
-    lines = [f"verdict: {cert.verdict}", f"rule: {cert.rule}"]
-    if cert.measure is not None:
-        lines.append(f"measure: {format_rational(cert.measure)}")
-    if cert.base is not None:
-        lines.append(f"k0: {cert.base}")
-    if cert.residuals is not None:
-        worst = max((abs(e.value) for e in cert.residuals), default=Fraction(0))
-        lines.append(f"residuals: {len(cert.residuals)} checked, largest |value| {worst}")
-    if cert.stable_depth is not None:
-        lines.append(f"stable_depth: {cert.stable_depth}")
-    if cert.report is not None:
-        for row in cert.report:
-            lines.append(
-                f"depth {row.depth}: measure {format_rational(row.measure)}, "
-                f"{row.gap_count} gaps"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_classify(args, budget):
-    from .classify import classify
-
-    cert = classify(_lambda_spec(_load_input(args.spec)), base=args.k0, budget=budget)
-    return _cert_text(cert) if args.format == "text" else cert.to_json(), 0
-
-
-def _cmd_measure(args, budget):
-    from .classify import classify
-
-    cert = classify(_lambda_spec(_load_input(args.spec)), budget=budget)
-    if cert.measure is None:
-        raise AssumptionError(
-            f"no exact measure available (verdict {cert.verdict}); the closed "
-            "form needs every cover equation to vanish with k0 = 0"
-        )
-    measure = format_rational(cert.measure)
-    return measure + "\n" if args.format == "text" else {"verdict": cert.verdict, "measure": measure}, 0
+from .rationals import fill_rows, format_rational
 
 
 def _cmd_approx(args, budget):
@@ -164,174 +47,33 @@ def _cmd_approx(args, budget):
     return {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": union}, 0
 
 
-def _cmd_gaps(args, budget):
-    from .gapforest import gap_family, smallest_valid_base
+def _deferred(module: str) -> Callable:
+    """The handler of each command whose code is in the handler module `module`:
+    its function cmd_<command>, the module imported when such a command first runs."""
 
-    seq = _lambda_spec(_load_input(args.spec))
-    base = smallest_valid_base(seq)
-    if base > 0:
-        raise AssumptionError(f"the gap family under the empty root needs k0 = 0, got k0 = {base}")
-    # the root family starts at level 1
-    levels = _depth(args, 3, minimum=1)
-    family = gap_family(seq, (), levels, budget=budget)
-    if args.format == "json":
-        _check_digits(family.denom)
-        return _family_rows(family), 0
-    # the text body prints counts only
-    lines = [f"k0: {family.base}"]
-    for n, gaps in family.levels:
-        lines.append(f"level {n}: {len(gaps)} gaps")
-    return "\n".join(lines) + "\n", 0
+    def handler(args, budget):
+        return getattr(import_module(f"{__package__}.{module}"), f"cmd_{args.command}")(args, budget)
+
+    return handler
 
 
-def _cmd_series(args, budget):
-    from .series import (
-        DoublingPattern,
-        MultigeometricSeries,
-        is_fast_convergent,
-        kakeya_classify,
-        multigeometric_form,
-        ratios_from_series,
-        series_from_pattern,
-        series_from_ratios,
-    )
-
-    data = _load_input(args.spec)
-    kinds = set(data) & {"lambda", "series", "k"}
-    if len(kinds) != 1:
-        raise SpecValidationError(
-            'input must contain exactly one of "lambda", "series", or "k"'
-        )
-    kind = kinds.pop()
-
-    if kind == "lambda":
-        seq = RatioSequence.from_json(data["lambda"])
-        series = series_from_ratios(seq)
-        payload = {
-            "input": {"lambda": seq.to_json()},
-            "series": series.to_json(),
-            "total": format_rational(series.total),
-            "kakeya": kakeya_classify(series),
-        }
-    elif kind == "series":
-        series = MultigeometricSeries.from_json(data["series"])
-        fast = is_fast_convergent(series)
-        payload = {
-            "input": {"series": series.to_json()},
-            "kakeya": kakeya_classify(series),
-            "total": format_rational(series.total),
-            "lambda": ratios_from_series(series).to_json() if fast else None,
-        }
-    else:
-        pattern = DoublingPattern.from_json(data["k"])
-        series, seq, cert = series_from_pattern(pattern)
-        diff_measure = series.total * cert.measure
-        form = None if pattern.prefix_bits else multigeometric_form(pattern).to_json()
-        payload = {
-            "input": {"k": pattern.to_json()},
-            "series": series.to_json(),
-            "lambda": seq.to_json(),
-            "verdict": cert.verdict,
-            "measure": format_rational(cert.measure),
-            "difference_measure": format_rational(diff_measure),
-            "multigeometric": form,
-        }
-
-    if args.format == "json":
-        return payload, 0
-    text = "".join(
-        f"{key}: {json.dumps(value, sort_keys=True)}\n" for key, value in sorted(payload.items())
-    )
-    return text, 0
-
-
-def _cmd_verify(args, budget):
-    from .classify import VERDICT_CANTOR, Certificate, verification_passed, verify_certificate
-
-    cert = Certificate.from_json(_load_input(args.spec))
-    # a CantorSet's measure check compares depths depth - 1 and depth
-    depth = _depth(args, 6, minimum=1 if cert.verdict == VERDICT_CANTOR else 0)
-    checks = verify_certificate(cert, depth=depth, budget=budget)
-    passed = verification_passed(checks)
-    status = 0 if passed else 1
-    if args.format == "json":
-        return {"passed": passed, "checks": [c.to_json() for c in checks]}, status
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" — {c.detail}" if c.detail else "")
-        for c in checks
-    ]
-    lines.append("verification " + ("passed" if passed else "FAILED"))
-    return "\n".join(lines) + "\n", status
-
-
-def _cmd_render(args, budget):
-    from .render import ascii_depth_stack, depth_stack, svg_depth_stack
-
-    seq = _lambda_spec(_load_input(args.spec))
-    stack = depth_stack(seq, _depth(args, 5), budget)
-    if args.format != "json":
-        return {"text": ascii_depth_stack, "svg": svg_depth_stack}[args.format](stack), 0
-    # DepthStack.to_json(), with each row's parts and family gaps written by _json from the lattice
-    _check_digits(stack.gap_denom, *(row.union.denom for row in stack.rows))
-    rows = []
-    for row in stack.rows:
-        gaps = _union_rows([lo for lo, _ in row.family_gaps], [hi for _, hi in row.family_gaps], stack.gap_denom)
-        rows.append({"depth": row.depth, "parts": row.union, "family_gaps": gaps})
-    return {"hull": ["-1", "1"], "rows": rows}, 0
-
-
-def _cmd_examples(args, budget):
-    from .series import DoublingPattern, series_from_pattern
-
-    text = args.format == "text"
-    body = []  # one text line or one JSON row per example
-    for entry in _EXAMPLES:
-        pattern = DoublingPattern(prefix_bits=(), period_bits=entry["period_bits"])
-        series, seq, cert = series_from_pattern(pattern)
-        expected_period = tuple(parse_rational(x) for x in entry["period"])
-        expected_measure = parse_rational(entry["measure"])
-        if seq.prefix or seq.period != expected_period:
-            raise VerificationError(
-                f"pattern {entry['k_rule']} induced ratios {seq.to_json()}, "
-                f"expected period {entry['period']}"
-            )
-        if cert.measure != expected_measure:
-            raise VerificationError(
-                f"pattern {entry['k_rule']} gave measure {cert.measure}, "
-                f"expected {entry['measure']}"
-            )
-        body.append(
-            f"k = {entry['k_rule']:<12} lambda period ({', '.join(entry['period'])})"
-            f"  measure {entry['measure']}  difference-set measure 3"
-            if text
-            else {
-                "k_rule": entry["k_rule"],
-                "pattern": pattern.to_json(),
-                "lambda_period": list(entry["period"]),
-                "verdict": cert.verdict,
-                "measure": entry["measure"],
-                "difference_measure": "3",
-            }
-        )
-    return "\n".join(body) + "\n" if text else {"examples": body}, 0
-
-
+_CERTIFY, _GAPS, _SERIES = _deferred("_cli_certify"), _deferred("_cli_gaps"), _deferred("_cli_series")
 _JSON_TEXT = ("json", "text")
 # each command's handler, help, options besides --format and --out, and --format
 # values with the default first, as README's "Flags and limits" lists them. A
 # handler returns (body, exit status): a str or an iterator of str printed as it
 # is, or a JSON value.
 _COMMANDS = {
-    "classify": (_cmd_classify, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
-    "measure": (_cmd_measure, "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
+    "classify": (_CERTIFY, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
+    "measure": (_CERTIFY, "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
     "approx": (_cmd_approx, "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
-    "gaps": (_cmd_gaps, "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
-    "series": (_cmd_series, "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
-    "verify": (_cmd_verify, "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
+    "gaps": (_GAPS, "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
+    "series": (_SERIES, "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
+    "verify": (_CERTIFY, "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
     "render": (
-        _cmd_render, "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
+        _GAPS, "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
     ),
-    "examples": (_cmd_examples, "reproduce the three bundled examples end to end", (), _JSON_TEXT),
+    "examples": (_SERIES, "reproduce the three bundled examples end to end", (), _JSON_TEXT),
 }
 _HANDLERS = {name: entry[0] for name, entry in _COMMANDS.items()}
 _OPTIONS = {
@@ -393,40 +135,6 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 # at least this many characters have gathered
 _CHUNK_ROWS = 4096
 _WRITE_CHARS = 1 << 16
-# JSON row templates at indent {0}, with keys sorted
-_UNION_ROW = '[{0}  "%d/%d",{0}  "%d/%d"{0}]'
-_GAP_ROW = '{{{0}  "code": "%s",{0}  "hi": "%d/%d",{0}  "lo": "%d/%d",{0}  "side": %d{0}}}'
-
-
-class _Rows(Record):
-    """A JSON list of count rows cut from one template: cut(a, b) gives the
-    columns of rows a..b-1, and a %d/%d slot's column holds numerators over denom."""
-
-    template: str
-    count: int
-    denom: int
-    cut: Callable[[int, int], list]
-
-
-def _union_rows(los: Sequence[int], his: Sequence[int], denom: int) -> _Rows:
-    return _Rows(template=_UNION_ROW, count=len(los), denom=denom, cut=lambda a, b: [los[a:b], his[a:b]])
-
-
-def _level_rows(gaps: dict, denom: int) -> _Rows:
-    refs = list(gaps)
-
-    def cut(a: int, b: int) -> list:
-        part = refs[a:b]
-        ends = [gaps[ref] for ref in part]
-        return [[code_str(c) for c, _ in part], [hi for _, hi in ends], [lo for lo, _ in ends], [s for _, s in part]]
-
-    return _Rows(template=_GAP_ROW, count=len(refs), denom=denom, cut=cut)
-
-
-def _family_rows(family) -> dict:
-    """A GapFamily's to_json(), with each level's gaps as _Rows on the family's lattice."""
-    levels = {str(n): _level_rows(gaps, family.denom) for n, gaps in family.levels}
-    return {"k0": family.base, "levels": levels, "root": code_str(family.root)}
 
 
 def _chunks(row: str, rows: _Rows) -> Iterator[str]:

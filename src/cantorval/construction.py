@@ -19,9 +19,9 @@ Everything is a pure function of (sequence, depth); all arithmetic is exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
 
 from .budget import charge_power
 from .errors import SpecValidationError

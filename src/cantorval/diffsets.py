@@ -28,9 +28,9 @@ pair (code, side): the code it opens under and its side, 0 left or 1 right.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .budget import charge_power
 from .construction import THIRD, DepthTable, RatioSequence

@@ -15,8 +15,8 @@ enters its periodic part, so the series is a finite head plus geometric tails.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .budget import charge_power
 from .construction import THIRD, RatioSequence, depth_length

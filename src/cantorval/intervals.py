@@ -18,11 +18,11 @@ merge_scaled, over integer ends sorted apart.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
 from operator import gt, le, lt
-from typing import Iterable, Sequence
 
 from .errors import SpecValidationError
 from .rationals import format_scaled, parse_rational, to_lattice

@@ -2,9 +2,13 @@
 
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+from cantorval import RatioSequence, classify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +41,20 @@ def test_traced_names_exist():
         if attr not in vars(getattr(importlib.import_module(f"cantorval.{module}"), cls, object))
     ]
     assert missing == [], f"perfbench/tracer.py wraps names the package lacks: {missing}"
+
+
+def test_traced_verify_counts_the_verifier():
+    # perfbench/tracer.py run as it is: the verifier has a module of its own, and its span must still count
+    ex1 = RatioSequence.from_json({"prefix": [], "period": ["7/15", "5/21"]})
+    cert = json.dumps(classify(ex1).to_json())
+    read, write = os.pipe()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    command = [sys.executable, "perfbench/tracer.py", str(write), "verify", "--spec", cert, "--depth", "2"]
+    with subprocess.Popen(command, cwd=ROOT, env=env, pass_fds=(write,), stdout=subprocess.PIPE) as proc:
+        os.close(write)
+        out, _ = proc.communicate(timeout=60)
+    with os.fdopen(read) as pipe:
+        spans = json.load(pipe)["spans"]
+    assert (proc.returncode, json.loads(out)["passed"]) == (0, True)
+    for name in ("classify.verify_certificate", "cli.main"):
+        assert spans.get(name, {}).get("calls", 0) >= 1, name

@@ -330,8 +330,8 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("verification started before the depth was checked")
 
-        # the package re-exports classify(), which shadows the submodule's name
-        monkeypatch.setattr(sys.modules["cantorval.classify"], "classify", no_work)
+        # the verifier's own binding; the package's classify is the function, not the submodule
+        monkeypatch.setattr(sys.modules["cantorval.verifier"], "classify", no_work)
         with pytest.raises(ValueError, match="depth must be >= 1"):
             verify_certificate(cert, depth=0)
 

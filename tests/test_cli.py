@@ -32,6 +32,7 @@ from cantorval import (
     verify_certificate,
 )
 from cantorval import cli
+from cantorval._cli_gaps import _family_rows
 from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, _parse_plain, build_parser, main
 from strategies import ratio_sequences
 
@@ -920,8 +921,8 @@ class TestJsonWriter:
     def test_chunked_family_levels_match_json_dumps(self, depth):
         # EX1's level 8 holds 4,374 gaps and its level 9 13,122
         family = gap_family(RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"]), (), depth)
-        assert "".join(_json(cli._family_rows(family))) == _dumps(family.to_json())
-        assert "".join(_json([cli._family_rows(family)])) == _dumps([family.to_json()])
+        assert "".join(_json(_family_rows(family))) == _dumps(family.to_json())
+        assert "".join(_json([_family_rows(family)])) == _dumps([family.to_json()])
 
     def test_out_file_bytes_equal_stdout_bytes(self, capsys, tmp_path):
         # 3^9 parts span several chunks

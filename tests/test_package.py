@@ -2,11 +2,13 @@
 first use.
 
 Importing `cantorval` runs none of its submodules; each runs on its first
-attribute access. The names a user reaches through the package are the same
-objects its home modules define, and `cantorval.classify` stays the function
-even once the submodule of that name has been imported.
+attribute access, and a CLI request runs only the modules its command uses.
+The names a user reaches through the package are the same objects its home
+modules define, and `cantorval.classify` stays the function even once the
+submodule of that name has been imported.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +20,30 @@ import cantorval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EX1_SPEC = '{"lambda": {"prefix": [], "period": ["7/15", "5/21"]}}'
+EX1_CERT = json.dumps(cantorval.classify(cantorval.RatioSequence.from_json(json.loads(EX1_SPEC)["lambda"])).to_json())
+# one small request per command
+REQUESTS = {
+    "classify": ["--spec", EX1_SPEC],
+    "measure": ["--spec", EX1_SPEC],
+    "approx": ["--spec", EX1_SPEC, "--depth", "2"],
+    "gaps": ["--spec", EX1_SPEC, "--depth", "2"],
+    "series": ["--spec", EX1_SPEC],
+    "verify": ["--spec", EX1_CERT, "--depth", "2"],
+    "render": ["--spec", EX1_SPEC, "--depth", "2"],
+    "examples": [],
+}
+# the modules every request runs, and those each command runs besides
+EVERY = {"errors", "budget", "rationals", "records", "intervals", "construction", "diffsets", "cli", "_cli_common"}
+OWN = {
+    "approx": set(),
+    "gaps": {"gapforest", "_cli_gaps"},
+    "render": {"gapforest", "render", "_cli_gaps"},
+    "classify": {"gapforest", "classify", "_cli_certify"},
+    "measure": {"gapforest", "classify", "_cli_certify"},
+    "verify": {"gapforest", "classify", "verifier", "_cli_certify"},
+    "series": {"gapforest", "classify", "series", "_cli_series"},
+    "examples": {"gapforest", "classify", "series", "_cli_series"},
+}
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -87,8 +113,30 @@ def test_the_installed_script_ends_through_run():
     assert callable(run)
 
 
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_each_command_runs_only_its_own_modules(command):
+    # so approx runs no handler module, only verify runs the verifier, and gaps
+    # runs no classify
+    probe = (
+        "import contextlib, io, sys, types, cantorval.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cantorval.cli.main(sys.argv[1:])\n"
+        "print(status, *sorted(n[10:] for n, m in sys.modules.items()"
+        " if n.startswith('cantorval.') and type(m) is types.ModuleType))"
+    )
+    done = fresh("-c", probe, command, *REQUESTS[command])
+    assert done.stderr == ""
+    status, *ran = done.stdout.split()
+    assert (status, set(ran)) == ("0", EVERY | OWN[command])
+
+
 def test_running_the_cli_module_warns_of_nothing():
-    # runpy would warn if the package had put cantorval.cli in sys.modules
-    done = fresh("-W", "error", "-m", "cantorval.cli", "approx", "--spec", EX1_SPEC, "--depth", "2")
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.startswith("{")
+    # runpy would warn if the package had put cantorval.cli in sys.modules, and a
+    # handler module that imported cantorval.cli would run cli.py a second time,
+    # which only the import log shows
+    for command, argv in REQUESTS.items():
+        done = fresh("-W", "error", "-X", "importtime", "-m", "cantorval.cli", command, *argv)
+        log = done.stderr.splitlines()
+        assert (done.returncode, [line for line in log if not line.startswith("import time:")]) == (0, []), command
+        assert not [line for line in log if line.endswith(" cantorval.cli")], command
+        assert done.stdout.startswith(("{", "<svg")), command
