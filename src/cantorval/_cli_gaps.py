@@ -58,6 +58,7 @@ def cmd_render(args, budget):
     _check_digits(stack.gap_denom, *(row.union.denom for row in stack.rows))
     rows = []
     for row in stack.rows:
+        parts = _union_rows(row.union.los, row.union.his, row.union.denom)
         gaps = _union_rows([lo for lo, _ in row.family_gaps], [hi for _, hi in row.family_gaps], stack.gap_denom)
-        rows.append({"depth": row.depth, "parts": row.union, "family_gaps": gaps})
+        rows.append({"depth": row.depth, "parts": parts, "family_gaps": gaps})
     return {"hull": ["-1", "1"], "rows": rows}, 0

@@ -22,12 +22,11 @@ from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
 
+from . import diffsets, intervals
 from ._cli_common import _check_digits, _depth, _digit_limit, _lambda_spec, _load_input, _Rows, _union_rows
 from .budget import charge_power
 from .construction import THIRD, depth_length
-from .diffsets import diff_approximation
 from .errors import CantorvalError, SpecValidationError
-from .intervals import IntervalUnion
 from .rationals import fill_rows, format_rational
 
 
@@ -39,12 +38,12 @@ def _cmd_approx(args, budget):
         # the leftmost part is then exactly [-1, -1 + 2 d_n], so the reduced
         # denominator of 2 d_n divides union.denom: the same refusal, before the fold
         _check_digits((2 * depth_length(seq, depth)).denominator)
-    union = diff_approximation(seq, depth, budget)
+    union = diffsets.diff_approximation(seq, depth, budget)
     _check_digits(union.denom)
     if args.format == "text":
         return _union_text(union), 0
-    # _json writes the union's parts straight from its lattice
-    return {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": union}, 0
+    parts = _union_rows(union.los, union.his, union.denom)
+    return {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": parts}, 0
 
 
 def _deferred(module: str) -> Callable:
@@ -142,19 +141,22 @@ def _chunks(row: str, rows: _Rows) -> Iterator[str]:
         yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)
 
 
-def _union_text(union: IntervalUnion) -> Iterator[str]:
+def _union_text(union: intervals.IntervalUnion) -> Iterator[str]:
     return _chunks("[%d/%d, %d/%d]\n", _union_rows(union.los, union.his, union.denom))
 
 
 def _json(value, indent: str = "\n") -> Iterator[str]:
     """The pieces of json.dumps(value, indent=2, sort_keys=True), value standing
     at indent, for the payloads the commands build: dicts with str keys, lists,
-    tuples, str, int, bool and None. An IntervalUnion is written as its
+    tuples, str, int, bool, None and _Rows. An IntervalUnion is written as its
     to_json(); its list of parts, and a _Rows value, go out one piece per chunk
-    of at most _CHUNK_ROWS rows, cut from one template."""
-    if isinstance(value, IntervalUnion):
-        value = _union_rows(value.los, value.his, value.denom)
+    of at most _CHUNK_ROWS rows, cut from one template. Only a value of none of
+    those types is checked against IntervalUnion, so writing a body that holds
+    no union never loads the intervals module."""
     inner = indent + "  "
+    if value is not None and not isinstance(value, (dict, list, tuple, str, int, _Rows)):
+        if isinstance(value, intervals.IntervalUnion):
+            value = _union_rows(value.los, value.his, value.denom)
     if isinstance(value, (dict, list, tuple)) and value:
         keyed = isinstance(value, dict)
         ends = "{}" if keyed else "[]"

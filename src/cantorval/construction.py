@@ -23,9 +23,9 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
 
+from . import intervals
 from .budget import charge_power
 from .errors import SpecValidationError
-from .intervals import ClosedInterval, IntervalUnion, fold_copies
 from .rationals import to_lattice
 from .records import Record, fields_from_json
 
@@ -131,7 +131,7 @@ def scaled_lengths(seq: RatioSequence, n: int) -> tuple[list[int], int]:
     return list(table.ints), table.denom
 
 
-def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> ClosedInterval:
+def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> intervals.ClosedInterval:
     """The depth-n interval selected by a binary code of left/right choices."""
     code = tuple(bits)
     if any(b not in (0, 1) for b in code):
@@ -140,14 +140,14 @@ def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> ClosedInterval:
     for r, bit in enumerate(code, 1):
         if bit:
             lo += length_drop(seq, r)
-    return ClosedInterval(lo, lo + depth_length(seq, len(code)))
+    return intervals.ClosedInterval(lo, lo + depth_length(seq, len(code)))
 
 
-def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> IntervalUnion:
+def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> intervals.IntervalUnion:
     """Union of all 2^depth kept intervals, as a normalized IntervalUnion."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     charge_power(2, depth, budget)
     table = seq.depth_table(depth)
     # [0, d_n] + sum over r of {0, w_r}, with w_r = d_{r-1} - d_r
-    return fold_copies(reversed(table.drops), 1, 0, table.ints[depth], table.denom)
+    return intervals.fold_copies(reversed(table.drops), 1, 0, table.ints[depth], table.denom)

@@ -32,10 +32,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
+from . import intervals
 from .budget import charge_power
 from .construction import THIRD, DepthTable, RatioSequence
 from .errors import AssumptionError
-from .intervals import ClosedInterval, IntervalUnion, OpenInterval, fold_copies
 
 Code = tuple[int, ...]
 
@@ -68,22 +68,22 @@ def scaled_gap(table: DepthTable, lo: int, n: int, side: int) -> tuple[int, int]
     return lo + d + d_next, lo + 2 * d - 2 * d_next
 
 
-def diff_interval(seq: RatioSequence, code: Sequence[int]) -> ClosedInterval:
+def diff_interval(seq: RatioSequence, code: Sequence[int]) -> intervals.ClosedInterval:
     """The coded interval: left endpoint -1 + sum of digit-weighted length drops."""
     digits = validate_code(code)
     table = seq.depth_table(len(digits))
     lo, hi = scaled_interval(table, digits)
-    return ClosedInterval(Fraction(lo, table.denom), Fraction(hi, table.denom))
+    return intervals.ClosedInterval(Fraction(lo, table.denom), Fraction(hi, table.denom))
 
 
-def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> IntervalUnion:
+def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> intervals.IntervalUnion:
     """Normalized union of all 3^depth coded intervals at the given depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     charge_power(3, depth, budget)
     table = seq.depth_table(depth)
     denom = table.denom
-    return fold_copies(reversed(table.drops), 2, -denom, 2 * table.ints[depth] - denom, denom)
+    return intervals.fold_copies(reversed(table.drops), 2, -denom, 2 * table.ints[depth] - denom, denom)
 
 
 def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:
@@ -106,18 +106,18 @@ def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> 
     return scaled_gap(table, lo, n, side), table.denom
 
 
-def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> OpenInterval:
+def gap_at(seq: RatioSequence, code: Sequence[int], side: int) -> intervals.OpenInterval:
     """Open gap left between consecutive children; needs the next ratio below 1/3."""
     (lo, hi), denom = _children(seq, code, side, "gap")
-    return OpenInterval(Fraction(lo, denom), Fraction(hi, denom))
+    return intervals.OpenInterval(Fraction(lo, denom), Fraction(hi, denom))
 
 
-def gap_bounds(seq: RatioSequence, ref: tuple[Sequence[int], int]) -> OpenInterval:
+def gap_bounds(seq: RatioSequence, ref: tuple[Sequence[int], int]) -> intervals.OpenInterval:
     """The gap named by its (code, side) pair, as the gap family keys it."""
     return gap_at(seq, *ref)
 
 
-def overlap_at(seq: RatioSequence, code: Sequence[int], side: int) -> ClosedInterval:
+def overlap_at(seq: RatioSequence, code: Sequence[int], side: int) -> intervals.ClosedInterval:
     """Closed overlap of consecutive children; needs the next ratio at least 1/3."""
     (hi, lo), denom = _children(seq, code, side, "overlap")
-    return ClosedInterval(Fraction(lo, denom), Fraction(hi, denom))
+    return intervals.ClosedInterval(Fraction(lo, denom), Fraction(hi, denom))

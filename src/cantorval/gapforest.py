@@ -18,9 +18,9 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 
+from . import diffsets
 from .budget import charge_power
 from .construction import THIRD, RatioSequence, depth_length
-from .diffsets import Code, code_str, diff_interval, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError
 from .rationals import format_scaled
 from .records import Record
@@ -83,7 +83,7 @@ def small_ratio_count(seq: RatioSequence, depth: int) -> int:
 
 def first_level(seq: RatioSequence, root: Sequence[int], base: int = 0) -> int:
     """Level m of the first family generation under the root code."""
-    digits = validate_code(root)
+    digits = diffsets.validate_code(root)
     k = len(digits)
     if k < base:
         raise AssumptionError(f"root code length {k} must be at least the base {base}")
@@ -94,13 +94,13 @@ def first_level(seq: RatioSequence, root: Sequence[int], base: int = 0) -> int:
 
 def extreme_codes(
     seq: RatioSequence, root: Sequence[int], level: int, base: int = 0
-) -> tuple[Code, Code]:
+) -> tuple[diffsets.Code, diffsets.Code]:
     """Leftmost and rightmost bounding codes at the given family level.
 
     The left code descends through 0-runs broken by single 1 digits at
     small-ratio depths; the right code mirrors it with 2-runs.
     """
-    digits = validate_code(root)
+    digits = diffsets.validate_code(root)
     k = len(digits)
     m = first_level(seq, digits, base)
     if level < m:
@@ -118,12 +118,12 @@ class GapFamily(Record):
     """Family levels m..N under one root code; each maps its gaps, named by
     (code, side) pairs and in their order, to their ends over denom."""
 
-    root: Code
+    root: diffsets.Code
     base: int
     denom: int
-    levels: tuple[tuple[int, dict[tuple[Code, int], tuple[int, int]]], ...]
+    levels: tuple[tuple[int, dict[tuple[diffsets.Code, int], tuple[int, int]]], ...]
 
-    def level(self, n: int) -> dict[tuple[Code, int], tuple[int, int]]:
+    def level(self, n: int) -> dict[tuple[diffsets.Code, int], tuple[int, int]]:
         for lvl, gaps in self.levels:
             if lvl == n:
                 return gaps
@@ -134,10 +134,10 @@ class GapFamily(Record):
         for lvl, gaps in self.levels:
             ends = format_scaled([x for g in gaps.values() for x in g], self.denom)
             levels[str(lvl)] = [
-                {"code": code_str(code), "side": side, "lo": lo, "hi": hi}
+                {"code": diffsets.code_str(code), "side": side, "lo": lo, "hi": hi}
                 for (code, side), lo, hi in zip(gaps, ends[0::2], ends[1::2])
             ]
-        return {"root": code_str(self.root), "k0": self.base, "levels": levels}
+        return {"root": diffsets.code_str(self.root), "k0": self.base, "levels": levels}
 
 
 def gap_family(
@@ -152,7 +152,7 @@ def gap_family(
     under: its parent's plus the weights of the digits it appends. Level m + i
     holds 2*3^i gaps, so the budget is charged for all 3^(upto-m+1) - 1 up front.
     """
-    digits = validate_code(root)
+    digits = diffsets.validate_code(root)
     k = len(digits)
     m = first_level(seq, digits, base)
     if upto < m:
@@ -161,7 +161,7 @@ def gap_family(
     ks = small_ratio_indices(seq, base, upto)
     table = seq.depth_table(ks[-1])
     km = ks[m - 1]
-    lo, _ = scaled_interval(table, digits)
+    lo, _ = diffsets.scaled_interval(table, digits)
     # each gap of the current level, mapped to the left end of the interval it opens under
     lefts = {
         (digits + (0,) * (km - k - 1), 0): lo,
@@ -187,7 +187,7 @@ def gap_family(
                     below[code + (2,) + (0,) * run, 0] = left + 2 * drop
                     below[code + (2,) * (run + 1), 1] = left + 2 * (drop + rest)
             lefts = below
-        levels.append((n, {gap: scaled_gap(table, left, kn - 1, gap[1]) for gap, left in lefts.items()}))
+        levels.append((n, {gap: diffsets.scaled_gap(table, left, kn - 1, gap[1]) for gap, left in lefts.items()}))
     return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels))
 
 
@@ -250,8 +250,8 @@ def extreme_limits(seq: RatioSequence, root: Sequence[int], base: int = 0) -> tu
     strictly positive spread between them is what leaves room for a whole
     interval of the limit set inside the root's coded interval.
     """
-    digits = validate_code(root)
+    digits = diffsets.validate_code(root)
     m = first_level(seq, digits, base)
-    iv = diff_interval(seq, digits)
+    iv = diffsets.diff_interval(seq, digits)
     spread = small_index_series(seq, base, growth=1, shrink=Fraction(1), start=m)
     return iv.lo + spread, iv.hi - spread

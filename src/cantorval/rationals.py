@@ -12,13 +12,14 @@ from operator import floordiv
 
 from .errors import SpecValidationError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only, and nothing after the literal, not even a newline
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 # the slots of a fill_rows template, each %d/%d as one
 _SLOT_RE = re.compile(r"%d/%d|%[ds]")
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SpecValidationError(
             f"not a rational literal: {text!r} (expected 'p/q' or an integer)"
         )

@@ -18,7 +18,12 @@ def test_accepts_integer_and_fraction_literals():
 
 @pytest.mark.parametrize(
     "text",
-    ["0.5", "1e-3", "1/0", "1/-2", "", "7 / 15", "a/b", None, 5, 0.5, pytest.param("1/" + "9" * 4400, id="4400-digits")],
+    [
+        "0.5", "1e-3", "1/0", "1/-2", "", "7 / 15", "a/b", None, 5, 0.5,
+        pytest.param("1/" + "9" * 4400, id="4400-digits"),
+        pytest.param("1/4\n", id="trailing-newline"),
+        pytest.param("\u0661/3", id="arabic-indic-digit"),
+    ],
 )
 def test_rejects_everything_else(text):
     with pytest.raises(SpecValidationError):

@@ -54,6 +54,8 @@ REFUSALS = [
     ["approx", "--spec", SPECS["ex1"], "--depth", "-1"],
     ["approx", "--spec", '{"lambda": '],
     ["approx", "--spec", '{"lambda": {"period": ["0.25"]}}'],
+    ["approx", "--spec", '{"lambda": {"period": ["1/4\\n"]}}'],
+    ["approx", "--spec", '{"lambda": {"period": ["\\u0661/3"]}}'],
     ["approx", "--spec", '{"lambda": {"period": ["1/2"]}}'],
     ["approx", "--spec", '{"lambda": {"period": []}}'],
     ["approx", "--spec", '{"ratios": ["1/4"]}'],
