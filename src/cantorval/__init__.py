@@ -20,9 +20,10 @@ _EXPORTS = {
     "budget": "DEFAULT_BUDGET charge resolve_budget",
     "rationals": "format_rational parse_rational",
     "records": "",
-    "intervals": "ClosedInterval IntervalUnion OpenInterval complement_gaps minkowski_diff minkowski_sum normalize",
+    "lattice": "IntervalUnion diff_approximation",
+    "intervals": "ClosedInterval OpenInterval complement_gaps minkowski_diff minkowski_sum normalize",
     "construction": "RatioSequence cantor_approximation depth_length kept_interval length_drop",
-    "diffsets": "code_str diff_approximation diff_interval gap_at gap_bounds overlap_at",
+    "diffsets": "code_str diff_interval gap_at gap_bounds overlap_at",
     "gapforest": "GapFamily extreme_codes extreme_limits first_level gap_family gap_union_measure "
     "gap_union_partial small_index_series small_ratio_indices smallest_valid_base",
     "classify": "RULE_CANTOR RULE_CANTORVAL RULE_FINITE RULE_FULL RULE_UNKNOWN VERDICT_CANTOR "

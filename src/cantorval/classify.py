@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 
-from . import diffsets, intervals
+from . import lattice
 from .construction import THIRD, RatioSequence, depth_length
 from .errors import AssumptionError, SpecValidationError
 from .gapforest import gap_union_measure, require_base, small_ratio_indices, smallest_valid_base
@@ -123,7 +123,7 @@ class DepthRow(Record, json=True):
     from_json = classmethod(partial(fields_from_json, label="report row"))
 
 
-def _holes(union: intervals.IntervalUnion) -> list[tuple[int, int]]:
+def _holes(union: lattice.IntervalUnion) -> list[tuple[int, int]]:
     """The open gaps of [-1, 1] minus the union inside it, as (lo, hi) over union.denom."""
     d = union.denom
     return [(lo, hi) for lo, hi in zip((-d, *union.his), (*union.los, d)) if lo < hi]
@@ -136,7 +136,7 @@ def depth_report(
     rows = []
     previous = None
     for depth in range(1, max_depth + 1):
-        union = diffsets.diff_approximation(seq, depth, budget)
+        union = lattice.diff_approximation(seq, depth, budget)
         holes = _holes(union)
         rows.append(
             DepthRow(
@@ -161,7 +161,7 @@ class Certificate(Record):
     base: int | None = None
     residuals: tuple[ResidualEntry, ...] | None = None
     stable_depth: int | None = None
-    union: intervals.IntervalUnion | None = None
+    union: lattice.IntervalUnion | None = None
     report: tuple[DepthRow, ...] | None = None
 
     # the input holds the sequence as the spec it was classified from, {"lambda": ...}
@@ -215,7 +215,7 @@ def classify(
                 sequence=seq, verdict=VERDICT_FULL, rule=RULE_FULL, measure=Fraction(2)
             )
         stable = max(small_prefix_depths)
-        union = diffsets.diff_approximation(seq, stable, budget)
+        union = lattice.diff_approximation(seq, stable, budget)
         return Certificate(
             sequence=seq,
             verdict=VERDICT_FINITE,

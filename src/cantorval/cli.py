@@ -22,7 +22,7 @@ from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
 
-from . import diffsets, intervals
+from . import lattice
 from ._cli_common import _check_digits, _depth, _digit_limit, _lambda_spec, _load_input, _Rows, _union_rows
 from .budget import charge_power
 from .construction import THIRD, depth_length
@@ -38,7 +38,7 @@ def _cmd_approx(args, budget):
         # the leftmost part is then exactly [-1, -1 + 2 d_n], so the reduced
         # denominator of 2 d_n divides union.denom: the same refusal, before the fold
         _check_digits((2 * depth_length(seq, depth)).denominator)
-    union = diffsets.diff_approximation(seq, depth, budget)
+    union = lattice.diff_approximation(seq, depth, budget)
     _check_digits(union.denom)
     if args.format == "text":
         return _union_text(union), 0
@@ -141,7 +141,7 @@ def _chunks(row: str, rows: _Rows) -> Iterator[str]:
         yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)
 
 
-def _union_text(union: intervals.IntervalUnion) -> Iterator[str]:
+def _union_text(union: lattice.IntervalUnion) -> Iterator[str]:
     return _chunks("[%d/%d, %d/%d]\n", _union_rows(union.los, union.his, union.denom))
 
 
@@ -152,10 +152,10 @@ def _json(value, indent: str = "\n") -> Iterator[str]:
     to_json(); its list of parts, and a _Rows value, go out one piece per chunk
     of at most _CHUNK_ROWS rows, cut from one template. Only a value of none of
     those types is checked against IntervalUnion, so writing a body that holds
-    no union never loads the intervals module."""
+    no union never loads the lattice module."""
     inner = indent + "  "
     if value is not None and not isinstance(value, (dict, list, tuple, str, int, _Rows)):
-        if isinstance(value, intervals.IntervalUnion):
+        if isinstance(value, lattice.IntervalUnion):
             value = _union_rows(value.los, value.his, value.denom)
     if isinstance(value, (dict, list, tuple)) and value:
         keyed = isinstance(value, dict)

@@ -4,15 +4,17 @@ A RatioSequence fixes, for every depth n >= 1, the fraction ratio_at(n) of a
 parent interval's length kept by each of its two children. Starting from
 [0, 1], depth n leaves 2^n closed intervals of common length depth_length(n);
 ratios strictly below 1/2 keep the 2^n parts strictly separated, so the
-shifted-copy fold that builds each depth-n approximation only concatenates.
+shifted-copy fold of lattice that builds each depth-n approximation only
+concatenates.
 
 Each sequence caches its depth lengths d(0..n) as Fractions, extended
 lazily; the cache is the only place that multiplies ratios and takes no part
 in equality, hashing, repr or JSON. depth_length, period_product and the
 series sums read its Fractions. depth_table(n) puts d(0..n) on their least
 lattice, with the digit weights d(r-1) - d(r), a pure function of
-(sequence, n); both approximations and the endpoint kernel of diffsets (and
-through it gap_family and cover_alignment) read such a table.
+(sequence, n); both approximations (cantor_approximation here and
+lattice.diff_approximation) and the endpoint kernel of diffsets (and through
+it gap_family and cover_alignment) read such a table.
 
 Everything is a pure function of (sequence, depth); all arithmetic is exact.
 """
@@ -23,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
 
-from . import intervals
+from . import intervals, lattice
 from .budget import charge_power
 from .errors import SpecValidationError
 from .rationals import to_lattice
@@ -143,11 +145,11 @@ def kept_interval(seq: RatioSequence, bits: Sequence[int]) -> intervals.ClosedIn
     return intervals.ClosedInterval(lo, lo + depth_length(seq, len(code)))
 
 
-def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> intervals.IntervalUnion:
+def cantor_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> lattice.IntervalUnion:
     """Union of all 2^depth kept intervals, as a normalized IntervalUnion."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     charge_power(2, depth, budget)
     table = seq.depth_table(depth)
     # [0, d_n] + sum over r of {0, w_r}, with w_r = d_{r-1} - d_r
-    return intervals.fold_copies(reversed(table.drops), 1, 0, table.ints[depth], table.denom)
+    return lattice.fold_copies(reversed(table.drops), 1, 0, table.ints[depth], table.denom)

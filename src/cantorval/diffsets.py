@@ -8,15 +8,10 @@ anchored at its left end, center and right end; a child step with ratio
 below 1/3 opens two gaps, a step with ratio at least 1/3 leaves two
 overlaps instead.
 
-diff_approximation never lists the 3^n coded intervals. The depth-n set is
-the Minkowski sum [-1, -1 + 2 d_n] + sum over r of {0, w_r, 2 w_r}, with
-w_r = d_{r-1} - d_r, and intervals.fold_copies builds it from the finest
-level up, adding the copies shifted by w_r and 2 w_r of the parts built so
-far. A level whose ratio is below 1/3 only concatenates its copies; one at
-1/3 or above merges them. The cost is the sum over levels of three times the
-parts built so far, not 3^n: far fewer parts when overlaps merge, and 3^n
-only where every part survives. The budget still counts the 3^n coded
-intervals a depth stands for.
+The depth-n set itself, the union of those 3^n intervals, is
+lattice.diff_approximation, which builds it with the shifted-copy fold
+without listing them; a module `__getattr__` still resolves
+`diffsets.diff_approximation` to it, for callers that look it up here.
 
 The endpoint formulas live here once, on the integer lattice of the
 sequence's depth table: scaled_interval gives a coded interval's ends and
@@ -33,7 +28,6 @@ from fractions import Fraction
 from operator import mul
 
 from . import intervals
-from .budget import charge_power
 from .construction import THIRD, DepthTable, RatioSequence
 from .errors import AssumptionError
 
@@ -76,16 +70,6 @@ def diff_interval(seq: RatioSequence, code: Sequence[int]) -> intervals.ClosedIn
     return intervals.ClosedInterval(Fraction(lo, table.denom), Fraction(hi, table.denom))
 
 
-def diff_approximation(seq: RatioSequence, depth: int, budget: int | None = None) -> intervals.IntervalUnion:
-    """Normalized union of all 3^depth coded intervals at the given depth."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    charge_power(3, depth, budget)
-    table = seq.depth_table(depth)
-    denom = table.denom
-    return intervals.fold_copies(reversed(table.drops), 2, -denom, 2 * table.ints[depth] - denom, denom)
-
-
 def _children(seq: RatioSequence, code: Sequence[int], side: int, kind: str) -> tuple:
     """The scaled ends of the gap on one side below a code, and the depth table's
     denominator; a gap opens there only at a next ratio below 1/3, an overlap
@@ -121,3 +105,12 @@ def overlap_at(seq: RatioSequence, code: Sequence[int], side: int) -> intervals.
     """Closed overlap of consecutive children; needs the next ratio at least 1/3."""
     (hi, lo), denom = _children(seq, code, side, "overlap")
     return intervals.ClosedInterval(Fraction(lo, denom), Fraction(hi, denom))
+
+
+def __getattr__(name: str):
+    """diff_approximation, defined in cantorval.lattice, is read here too."""
+    if name == "diff_approximation":
+        from . import lattice
+
+        return lattice.diff_approximation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,10 +12,9 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .construction import RatioSequence
-from .diffsets import diff_approximation
 from .errors import AssumptionError
 from .gapforest import gap_family, small_ratio_count, small_ratio_indices
-from .intervals import IntervalUnion
+from .lattice import IntervalUnion, diff_approximation
 from .rationals import format_scaled
 from .records import Record
 

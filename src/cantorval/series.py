@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import intervals
+from . import lattice
 from .budget import charge_power
 from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence, length_drop
@@ -151,7 +151,7 @@ def kakeya_classify(series: MultigeometricSeries) -> str:
     return "Inconclusive" if any(excess) else "FiniteIntervalUnion"
 
 
-def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = None) -> intervals.IntervalUnion:
+def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = None) -> lattice.IntervalUnion:
     """Union over all subsets of the first `depth` terms of
     [subset sum, subset sum + remainder(depth)], normalized."""
     if depth < 0:
@@ -160,7 +160,7 @@ def subsum_cover(series: MultigeometricSeries, depth: int, budget: int | None = 
     terms = [series.term(j) for j in range(1, depth + 1)]
     (*ints, tail), denom = to_lattice([*terms, series.remainder(depth)])
     # [0, tail] + sum over j of {0, t_j}, the smallest terms folded in first
-    return intervals.fold_copies(reversed(ints), 1, 0, tail, denom)
+    return lattice.fold_copies(reversed(ints), 1, 0, tail, denom)
 
 
 def _bits(label: str, entries) -> tuple[int, ...]:

@@ -29,10 +29,11 @@ from .classify import (
     residuals_vanish,
 )
 from .construction import THIRD, RatioSequence, cantor_approximation
-from .diffsets import Code, code_str, diff_approximation, scaled_gap, scaled_interval, validate_code
+from .diffsets import Code, code_str, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError, SpecValidationError
 from .gapforest import gap_family, gap_union_measure, gap_union_partial, small_ratio_count, small_ratio_indices
-from .intervals import IntervalUnion, minkowski_diff
+from .intervals import minkowski_diff
+from .lattice import IntervalUnion, diff_approximation
 from .records import Record
 
 

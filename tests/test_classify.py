@@ -376,7 +376,7 @@ class TestVerify:
 
         seq = RatioSequence(prefix=(F(1, 5), F(1, 3), F(1, 4)), period=(F(1, 3),))
         assert len(classify(seq).union.los) == 21
-        monkeypatch.setattr("cantorval.intervals.merge_scaled", joins_one_unit_apart)
+        monkeypatch.setattr("cantorval.lattice.merge_scaled", joins_one_unit_apart)
         cert = classify(seq)
         assert len(cert.union.los) == 3
         checks = {c.name: c.passed for c in verify_certificate(cert, depth=7)}

@@ -579,8 +579,8 @@ class TestExitCodes:
         [
             pytest.param(
                 ["approx", "--spec", SMALL_SPEC, "--depth", "2", "--format", "text"],
-                {"diffsets"},
-                {"classify", "gapforest", "series", "render"},
+                {"lattice"},
+                {"intervals", "diffsets", "classify", "gapforest", "series", "render"},
                 id="approx",
             ),
             pytest.param(["gaps", "--spec", EX1_SPEC, "--depth", "2"], {"gapforest"}, {"classify", "series", "render"}, id="gaps"),

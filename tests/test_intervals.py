@@ -271,7 +271,7 @@ def fold_series(draw):
 
 class TestFoldAgainstFractions:
     """diff_approximation, cantor_approximation and subsum_cover all come from
-    intervals.fold_copies; here they meet a fold that never calls
+    lattice.fold_copies; here they meet a fold that never calls
     merge_scaled or normalize."""
 
     @settings(max_examples=60, deadline=None)

@@ -36,15 +36,15 @@ REQUESTS = {
     "examples": [],
 }
 # the modules every request runs, and those each command runs besides; a module
-# that only calls into intervals or diffsets runs neither until it does
+# that only calls into lattice, intervals or diffsets runs none of them until it does
 EVERY = {"errors", "budget", "rationals", "records", "construction", "cli", "_cli_common"}
 OWN = {
-    "approx": {"intervals", "diffsets"},
+    "approx": {"lattice"},
     "gaps": {"diffsets", "gapforest", "_cli_gaps"},
-    "render": {"intervals", "diffsets", "gapforest", "render", "_cli_gaps"},
+    "render": {"lattice", "diffsets", "gapforest", "render", "_cli_gaps"},
     "classify": {"gapforest", "classify", "_cli_certify"},
     "measure": {"gapforest", "classify", "_cli_certify"},
-    "verify": {"intervals", "diffsets", "gapforest", "classify", "verifier", "_cli_certify"},
+    "verify": {"lattice", "intervals", "diffsets", "gapforest", "classify", "verifier", "_cli_certify"},
     "series": {"gapforest", "classify", "series", "_cli_series"},
     "examples": {"gapforest", "classify", "series", "_cli_series"},
 }
@@ -84,6 +84,19 @@ def test_exported_names_are_their_home_modules_objects():
         assert name in listed and value is getattr(home, name), name
         # functions and classes say where they were defined
         assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_the_lattice_kernel_is_reached_from_its_former_homes():
+    from cantorval import diffsets, intervals, lattice
+
+    assert intervals.IntervalUnion is lattice.IntervalUnion
+    assert intervals.merge_scaled is lattice.merge_scaled
+    assert diffsets.diff_approximation is lattice.diff_approximation
+    from cantorval.diffsets import diff_approximation
+
+    assert diff_approximation is lattice.diff_approximation
+    with pytest.raises(AttributeError, match="module 'cantorval.diffsets' has no attribute 'fold_copies'"):
+        diffsets.fold_copies  # noqa: B018
 
 
 def test_star_import_binds_every_exported_name():
@@ -138,18 +151,27 @@ def test_the_installed_script_ends_through_run():
 
 @pytest.mark.parametrize("command", sorted(REQUESTS))
 def test_each_command_runs_only_its_own_modules(command):
-    # so approx runs no handler module, only verify runs the verifier, gaps runs
-    # no classify, and classify, measure, series and examples run neither
-    # intervals nor diffsets
+    # so approx runs the lattice kernel alone, only verify runs the verifier
+    # and intervals, gaps runs no classify, and classify, measure, series and
+    # examples run none of lattice, intervals and diffsets
     assert modules_run(command, *REQUESTS[command]) == ("0", EVERY | OWN[command])
 
 
-def test_a_classify_that_needs_approximations_runs_intervals_and_diffsets():
+def test_the_node_count_tool_lists_the_same_modules():
+    done = fresh(str(SRC.parent / "tools" / "compiled_nodes.py"), str(SRC))
+    head, _, _, *rows = done.stdout.splitlines()
+    assert (head, done.stderr) == (f"every request runs: {' '.join(sorted(EVERY))}", "")
+    listed = {label: set(modules.split(", ")) for label, _, modules in (row[2:-2].split(" | ") for row in rows)}
+    assert listed == {**OWN, "classify (Unknown)": OWN["classify"] | {"lattice"}}
+
+
+def test_a_classify_that_needs_approximations_runs_the_lattice_kernel_alone():
     status, ran = modules_run("classify", "--spec", PERTURBED_SPEC)
-    assert (status, ran) == ("0", EVERY | OWN["classify"] | {"intervals", "diffsets"})
+    assert (status, ran) == ("0", EVERY | OWN["classify"] | {"lattice"})
 
 
 def test_importing_the_cli_module_runs_neither_intervals_nor_diffsets():
+    # nor lattice: the modules every request runs leave all three out
     probe = (
         "import sys, types, cantorval.cli; "
         "print(*sorted(n[10:] for n, m in sys.modules.items()"
