@@ -148,15 +148,9 @@ def _union_text(union: lattice.IntervalUnion) -> Iterator[str]:
 def _json(value, indent: str = "\n") -> Iterator[str]:
     """The pieces of json.dumps(value, indent=2, sort_keys=True), value standing
     at indent, for the payloads the commands build: dicts with str keys, lists,
-    tuples, str, int, bool, None and _Rows. An IntervalUnion is written as its
-    to_json(); its list of parts, and a _Rows value, go out one piece per chunk
-    of at most _CHUNK_ROWS rows, cut from one template. Only a value of none of
-    those types is checked against IntervalUnion, so writing a body that holds
-    no union never loads the lattice module."""
+    tuples, str, int, bool, None and _Rows. A _Rows value goes out one piece
+    per chunk of at most _CHUNK_ROWS rows, cut from one template."""
     inner = indent + "  "
-    if value is not None and not isinstance(value, (dict, list, tuple, str, int, _Rows)):
-        if isinstance(value, lattice.IntervalUnion):
-            value = _union_rows(value.los, value.his, value.denom)
     if isinstance(value, (dict, list, tuple)) and value:
         keyed = isinstance(value, dict)
         ends = "{}" if keyed else "[]"

@@ -23,7 +23,7 @@ from .rationals import to_lattice
 from .records import Record
 
 
-class _Interval(Record, order=True):
+class _Interval(Record):
     """The fields shared by closed and open intervals. Intervals are built in
     bulk, so they hold slots and spell out their constructors, which is what
     bulk building needs; they compare and hash as records."""
@@ -48,14 +48,6 @@ class ClosedInterval(_Interval):
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-    def translate(self, offset: Fraction) -> "ClosedInterval":
-        return ClosedInterval(self.lo + offset, self.hi + offset)
-
-    def scale(self, factor: Fraction) -> "ClosedInterval":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ClosedInterval(self.lo * factor, self.hi * factor)
 
 
 class OpenInterval(_Interval):

@@ -5,13 +5,13 @@ depth-n difference-set approximation built with them.
 An IntervalUnion stores its endpoints on the integer lattice: two int tuples
 over one denominator, reduced so that the form is canonical, and its one
 constructor takes them so; intervals.normalize is the way in from Fraction
-intervals. Building, measuring, comparing, hashing and printing a union
-therefore costs integer work only; the Fraction parts are built once, on
-first use, and only then is the intervals module run. Difference-set and
-Cantor approximations and subsum covers are Minkowski sums of one interval
-with point sets, all built by one fold of shifted copies, fold_copies. The
-fold, normalize and the Minkowski products merge through one routine,
-merge_scaled, over integer ends sorted apart.
+intervals. Building, measuring, comparing, hashing and writing a union as
+JSON therefore costs integer work only. The intervals module runs only for
+parts, the Fraction intervals built once on first use (repr shows them), and
+for from_json. Difference-set and Cantor approximations and subsum covers
+are Minkowski sums of one interval with point sets, all built by one fold of
+shifted copies, fold_copies. The fold, normalize and the Minkowski products
+merge through one routine, merge_scaled, over integer ends sorted apart.
 
 diff_approximation never lists the 3^n coded intervals. The depth-n set is
 the Minkowski sum [-1, -1 + 2 d_n] + sum over r of {0, w_r, 2 w_r}, with
@@ -26,7 +26,6 @@ depth stands for.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, islice
@@ -91,33 +90,6 @@ class IntervalUnion:
     @property
     def measure(self) -> Fraction:
         return Fraction(sum(self.his) - sum(self.los), self.denom)
-
-    @property
-    def hull(self) -> intervals.ClosedInterval:
-        if not self.parts:
-            raise ValueError("empty union has no hull")
-        return intervals.ClosedInterval(self.parts[0].lo, self.parts[-1].hi)
-
-    def contains(self, x: Fraction) -> bool:
-        i = bisect_right(self.parts, x, key=lambda p: p.lo)
-        return i > 0 and self.parts[i - 1].hi >= x
-
-    def intersects_open(self, lo: Fraction, hi: Fraction) -> bool:
-        """True when some part meets the open interval (lo, hi)."""
-        i = bisect_right(self.parts, lo, key=lambda p: p.lo)
-        if i > 0 and self.parts[i - 1].hi > lo:
-            return True
-        return i < len(self.parts) and self.parts[i].lo < hi
-
-    def translate(self, offset: Fraction) -> "IntervalUnion":
-        return intervals.normalize(p.translate(offset) for p in self.parts)
-
-    def scale(self, factor: Fraction) -> "IntervalUnion":
-        return intervals.normalize(p.scale(factor) for p in self.parts)
-
-    def mirror(self) -> "IntervalUnion":
-        """Reflection through 0."""
-        return IntervalUnion([-x for x in reversed(self.his)], [-x for x in reversed(self.los)], self.denom)
 
     def to_json(self) -> list[list[str]]:
         los, his = (format_scaled(xs, self.denom) for xs in (self.los, self.his))

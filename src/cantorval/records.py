@@ -4,9 +4,9 @@ A record's fields are its class annotations, in order after its base's; a
 value in the class body is a default. A record is built positionally or by
 keyword, then runs __post_init__; it compares and hashes as its field tuple,
 equal only within its class, prints as Name(field=value, ...) and refuses
-assignment. order=True orders it as its field tuple, and json=True, for a
-record whose JSON is its fields, takes fields_json as its to_json; _wire_names
-renames fields on the wire, and fields_from_json reads that JSON back.
+assignment; it has no order. json=True, for a record whose JSON is its
+fields, takes fields_json as its to_json; _wire_names renames fields on the
+wire, and fields_from_json reads that JSON back.
 Importing dataclasses (inspect, ast, dis, tokenize) and compiling each
 class's methods would cost every CLI run.
 """
@@ -14,7 +14,7 @@ class's methods would cost every CLI run.
 import sys
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
 from .errors import SpecValidationError
 from .rationals import format_rational, parse_rational, parse_rational_list
@@ -26,15 +26,13 @@ class Record:
     _defaults: dict = {}
     _wire_names: dict = {}
 
-    def __init_subclass__(cls, order: bool = False, json: bool = False, **kwargs):
+    def __init_subclass__(cls, json: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = cls._fields + own
         cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
         # every record has at least two fields, so the key is a tuple
         cls._key = attrgetter(*cls._fields)
-        if order:
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_ordering, (lt, le, gt, ge))
         if json:
             cls.to_json = fields_json
 
@@ -74,15 +72,6 @@ class Record:
     def __reduce__(self):
         # copy and pickle rebuild a record from its fields, through __init__
         return type(self), self._key(self)
-
-
-def _ordering(op):
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return op(self._key(self), self._key(other))
-        return NotImplemented
-
-    return compare
 
 
 def fields_json(record) -> dict:

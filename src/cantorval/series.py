@@ -206,9 +206,6 @@ class DoublingPattern(Record):
         offset = (j - len(self.prefix_bits) - 1) % len(self.period_bits)
         return self.period_bits[offset]
 
-    def doubled_positions(self, upto: int) -> tuple[int, ...]:
-        return tuple(j for j in range(1, upto + 1) if self.bit(j) == 1)
-
     def to_json(self) -> dict:
         return {
             "prefix_bits": "".join(map(str, self.prefix_bits)),

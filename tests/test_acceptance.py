@@ -9,15 +9,19 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
+from operator import attrgetter
 
 import pytest
 
 from cantorval import (
     AssumptionError,
+    ClosedInterval,
     DoublingPattern,
+    IntervalUnion,
     RatioSequence,
     cantor_approximation,
     classify,
+    complement_gaps,
     cover_alignment,
     cover_offset,
     depth_length,
@@ -161,16 +165,19 @@ def test_criterion_06_gap_forest(capsys):
         family = gap_family(EX1, (), 4)
         spread = F(0)
         for n in range(1, 5):
-            gaps = sorted(gap_bounds(EX1, ref) for ref in family.level(n))
+            gaps = [gap_bounds(EX1, ref) for ref in family.level(n)]
             assert len(gaps) == 2 * 3 ** (n - 1)
-            union = diff_approximation(EX1, ks[n - 1])
+            holes = complement_gaps(diff_approximation(EX1, ks[n - 1]), ClosedInterval(F(-1), F(1)))
             for g in gaps:
-                assert not union.intersects_open(g.lo, g.hi)
+                assert any(h.lo <= g.lo and g.hi <= h.hi for h in holes)
             all_so_far = sorted(
-                gap_bounds(EX1, ref)
-                for lvl, refs in family.levels
-                if lvl <= n
-                for ref in refs
+                (
+                    gap_bounds(EX1, ref)
+                    for lvl, refs in family.levels
+                    if lvl <= n
+                    for ref in refs
+                ),
+                key=attrgetter("lo"),
             )
             for a, b in zip(all_so_far, all_so_far[1:]):
                 assert a.hi < b.lo
@@ -228,9 +235,10 @@ def test_criterion_09_series_round_trips(capsys):
         assert pattern_series.total == F(15, 8)
         for n in range(11):
             assert subsum_cover(drops, n) == cantor_approximation(EX1, n)
-            assert subsum_cover(pattern_series, n) == cantor_approximation(
-                induced, n
-            ).scale(pattern_series.total)
+            u, t = cantor_approximation(induced, n), pattern_series.total
+            assert subsum_cover(pattern_series, n) == IntervalUnion(
+                [x * t.numerator for x in u.los], [x * t.numerator for x in u.his], u.denom * t.denominator
+            )
 
 
 def test_criterion_10_negative_controls(capsys, tmp_path):

@@ -32,6 +32,7 @@ from cantorval import (
     verify_certificate,
 )
 from cantorval import cli
+from cantorval._cli_common import _union_rows
 from cantorval._cli_gaps import _family_rows
 from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, _parse_plain, build_parser, main
 from strategies import ratio_sequences
@@ -894,7 +895,8 @@ class TestJsonWriter:
     def test_union_is_written_as_its_to_json(self, seq, depth):
         union = diff_approximation(seq, depth)
         empty = IntervalUnion((), (), 1)
-        payload = {"parts": union, "nested": [[union, empty]]}
+        rows, no_rows = (_union_rows(u.los, u.his, u.denom) for u in (union, empty))
+        payload = {"parts": rows, "nested": [[rows, no_rows]]}
         expected = {"parts": union.to_json(), "nested": [[union.to_json(), []]]}
         assert "".join(_json(payload)) == _dumps(expected)
 
@@ -912,8 +914,9 @@ class TestJsonWriter:
         # parts around 0, of one width, step apart
         los = [offset + step * (i - count // 2) for i in range(count)]
         union = IntervalUnion(los, [lo + width % step for lo in los], denom)
-        assert "".join(_json(union)) == _dumps(union.to_json())
-        assert "".join(_json({"parts": [union]})) == _dumps({"parts": [union.to_json()]})
+        rows = _union_rows(union.los, union.his, union.denom)
+        assert "".join(_json(rows)) == _dumps(union.to_json())
+        assert "".join(_json({"parts": [rows]})) == _dumps({"parts": [union.to_json()]})
         text = "".join(f"[{lo}, {hi}]\n" for lo, hi in union.to_json())
         assert "".join(cli._union_text(union)) == text
 

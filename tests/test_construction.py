@@ -158,9 +158,8 @@ class TestApproximation:
     @given(ratio_sequences(), st.integers(0, 6))
     def test_nested_and_symmetric(self, seq, n):
         u = cantor_approximation(seq, n)
-        assert u.contains(F(0)) and u.contains(F(1))
+        assert u.los[0] == 0 and u.his[-1] == u.denom
         # symmetric under x -> 1 - x
-        assert u.mirror().translate(F(1)) == u
+        assert u.los == tuple(u.denom - x for x in reversed(u.his))
         finer = cantor_approximation(seq, n + 1)
-        for p in finer.parts:
-            assert u.contains(p.lo) and u.contains(p.hi)
+        assert normalize([*u.parts, *finer.parts]) == u

@@ -13,6 +13,7 @@ from cantorval import (
     RatioSequence,
     cantor_approximation,
     code_str,
+    complement_gaps,
     depth_length,
     diff_approximation,
     diff_interval,
@@ -94,10 +95,9 @@ class TestDiffApproximation:
     @given(ratio_sequences(), st.integers(0, 5))
     def test_symmetric_and_nested(self, seq, n):
         u = diff_approximation(seq, n)
-        assert u.mirror() == u
+        assert u.los == tuple(-x for x in reversed(u.his))
         coarser = diff_approximation(seq, max(n - 1, 0))
-        for p in u.parts:
-            assert coarser.contains(p.lo) and coarser.contains(p.hi)
+        assert normalize([*coarser.parts, *u.parts]) == coarser
 
     # a ratio of exactly 1/3 makes neighbouring copies touch at one point
     @example(RatioSequence.constant(THIRD), 6)
@@ -170,8 +170,10 @@ class TestGapsAndOverlaps:
 
     def test_gap_is_a_hole(self):
         g = gap_at(EX1, (0,), side=0)
-        assert not diff_approximation(EX1, 2).intersects_open(g.lo, g.hi)
-        assert not diff_approximation(EX1, 5).intersects_open(g.lo, g.hi)
+        hull = ClosedInterval(F(-1), F(1))
+        for depth in (2, 5):
+            holes = complement_gaps(diff_approximation(EX1, depth), hull)
+            assert any(h.lo <= g.lo and g.hi <= h.hi for h in holes)
 
     def test_gap_bounds_matches_gap_at(self):
         assert gap_bounds(EX1, ((0,), 0)) == gap_at(EX1, (0,), 0)

@@ -2,15 +2,18 @@
 
 No module imports a name it never uses, every private top-level function,
 class and constant is referenced from somewhere other than its own
-definition, and no module reads the process environment.
+definition, every public method is called by the package, its benchmark
+or its tools, and no module reads the process environment.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cantorval"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cantorval"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
 
@@ -98,6 +101,69 @@ def test_unreferenced_flags_dead_classes_and_constants():
     # assigning the same name in another module is no reference
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("_DEAD = 4\n")}
     assert unreferenced("m.py", trees, CLASSES_AND_CONSTANTS) == ["_DEAD (line 2)", "_TYPED (line 3)", "_Gone (line 4)"]
+
+
+def public_methods(tree: ast.Module):
+    """(class, method, definition) of each public method of each class in the tree."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    yield cls.name, stmt.name, stmt
+
+
+def member_references(root) -> Counter:
+    """Attribute reads and identifier strings below root, such as obj.name and
+    the names in a table that getattr looks up."""
+    refs = Counter()
+    for node in ast.walk(root):
+        if isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
+
+
+def unused_methods(package: dict, callers) -> set[tuple[str, str]]:
+    """(class, method) of each public method in the package trees that nothing
+    in the package or caller trees references but its own definition."""
+    refs = sum((member_references(tree) for tree in (*package.values(), *callers)), Counter())
+    return {
+        (cls, name)
+        for tree in package.values()
+        for cls, name, stmt in public_methods(tree)
+        if refs[name] == member_references(stmt)[name]
+    }
+
+
+# members kept as public API for users and tests though no module calls them
+UNCALLED_API = {
+    ("RatioSequence", "constant"),
+    ("_Interval", "length"),
+    ("ClosedInterval", "contains"),
+    ("OpenInterval", "contains"),
+}
+
+
+def test_every_public_method_is_called():
+    package = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    callers = [
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for folder in ("perfbench", "tools")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    unused = unused_methods(package, callers)
+    assert sorted(unused - UNCALLED_API) == [], "public methods nothing in src/, perfbench/ or tools/ calls"
+    assert sorted(UNCALLED_API - unused) == [], "methods exempted here that something now calls"
+
+
+def test_unused_methods_counts_attribute_reads_and_names_in_strings():
+    source = (
+        "class A:\n    def read(self):\n        return self.read\n    def named(self):\n        pass\n"
+        "    def gone(self):\n        return self.gone()\n    def _private(self):\n        pass\n"
+    )
+    caller = ast.parse("a.read()\nTABLE = ('named',)\n")
+    assert unused_methods({"m.py": ast.parse(source)}, [caller]) == {("A", "gone")}
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

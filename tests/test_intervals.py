@@ -111,8 +111,6 @@ class TestBasics:
     def test_empty_union(self):
         u = normalize([])
         assert u.parts == () and u.measure == 0
-        with pytest.raises(ValueError):
-            u.hull
 
     def test_complement_gaps_at_the_hull_ends(self):
         hull = ClosedInterval(F(-1), F(1))
@@ -129,18 +127,6 @@ class TestBasics:
             with pytest.raises(ValueError, match="not contained"):
                 complement_gaps(u, ClosedInterval(lo, hi))
 
-    def test_contains_endpoints_and_gaps(self):
-        u = normalize([ClosedInterval(F(0), F(1)), ClosedInterval(F(2), F(3))])
-        for x, want in [(F(0), True), (F(1), True), (F(3, 2), False), (F(2), True), (F(4), False)]:
-            assert u.contains(x) is want
-
-    def test_intersects_open(self):
-        u = normalize([ClosedInterval(F(0), F(1)), ClosedInterval(F(2), F(3))])
-        assert u.intersects_open(F(1), F(2)) is False
-        assert u.intersects_open(F(1, 2), F(3, 2)) is True
-        assert u.intersects_open(F(3, 2), F(5, 2)) is True
-        assert u.intersects_open(F(-1), F(0)) is False
-
     def test_json_round_trip(self):
         u = normalize([ClosedInterval(F(-1, 3), F(2, 7)), ClosedInterval(F(1), F(3, 2))])
         assert IntervalUnion.from_json(u.to_json()) == u
@@ -153,17 +139,13 @@ class TestProperties:
         assert normalize(u.parts) == u
         assert u.measure == brute_measure(items, items)
 
-    @given(unions(min_size=1), rationals)
-    def test_contains_matches_parts(self, u, x):
-        assert u.contains(x) == any(p.contains(x) for p in u.parts)
-
     @given(unions(min_size=1))
     def test_complement_partitions_hull(self, u):
-        hull = u.hull
+        hull = ClosedInterval(u.parts[0].lo, u.parts[-1].hi)
         gaps = complement_gaps(u, hull)
         assert u.measure + sum((g.length for g in gaps), F(0)) == hull.length
-        for g in gaps:
-            assert not u.intersects_open(g.lo, g.hi)
+        # the closed gaps and the parts together fill the hull
+        assert normalize([*u.parts, *(ClosedInterval(g.lo, g.hi) for g in gaps)]) == normalize([hull])
 
     @given(unions(min_size=1, max_size=4), unions(min_size=1, max_size=4))
     def test_minkowski_diff_matches_naive(self, a, b):
@@ -175,26 +157,22 @@ class TestProperties:
 
     @given(unions(min_size=1, max_size=4), unions(min_size=1, max_size=4))
     def test_diff_is_mirrored_swap(self, a, b):
-        assert minkowski_diff(a, b) == minkowski_diff(b, a).mirror()
+        d, swapped = minkowski_diff(a, b), minkowski_diff(b, a)
+        assert d.denom == swapped.denom
+        assert d.los == tuple(-x for x in reversed(swapped.his))
+        assert d.his == tuple(-x for x in reversed(swapped.los))
 
     @given(unions(min_size=1, max_size=4), rationals)
     def test_translate_shifts_diff(self, a, c):
-        shifted = minkowski_diff(a.translate(c), a)
-        assert shifted == minkowski_diff(a, a).translate(c)
-
-    @given(unions())
-    def test_mirror_matches_the_fraction_formula(self, u):
-        m = u.mirror()
-        assert m.parts == tuple(ClosedInterval(-p.hi, -p.lo) for p in reversed(u.parts))
-        # the negated lattice ends stay reduced, so they equal and hash as the canonical fields
-        ref = normalize(m.parts)
-        assert m == ref and hash(m) == hash(ref) and m.mirror() == u
+        point = normalize([ClosedInterval(c, c)])
+        shifted = minkowski_diff(minkowski_sum(a, point), a)
+        assert shifted == minkowski_sum(minkowski_diff(a, a), point)
 
     @given(unions(min_size=1, max_size=4))
     def test_diff_contains_zero_and_is_symmetric(self, a):
         d = minkowski_diff(a, a)
-        assert d.contains(F(0))
-        assert d.mirror() == d
+        assert any(p.contains(F(0)) for p in d.parts)
+        assert d.los == tuple(-x for x in reversed(d.his))
 
 
 def loop_merge(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -2,9 +2,8 @@
 
 Each record takes its fields in declaration order, positionally or by
 keyword, compares and hashes as its field tuple against its own class only,
-prints as Name(field=value, ...) and refuses assignment. The two interval
-classes also order as their (lo, hi) tuples. None of this may cost a CLI run
-the dataclasses module or what it loads.
+prints as Name(field=value, ...) and refuses assignment. None of this may
+cost a CLI run the dataclasses module or what it loads.
 """
 
 import copy
@@ -156,18 +155,6 @@ def test_field_count_is_checked():
         Check("n", True, name="m")
     with pytest.raises(TypeError):
         Certificate(EX1, "Unknown")
-
-
-@pytest.mark.parametrize("cls", [ClosedInterval, OpenInterval], ids=lambda cls: cls.__name__)
-def test_intervals_order_as_tuples(cls):
-    pairs = [(F(1), F(2)), (F(0), F(3)), (F(0), F(1)), (F(-1), F(5)), (F(0), F(2))]
-    intervals = [cls(lo, hi) for lo, hi in pairs]
-    assert [(i.lo, i.hi) for i in sorted(intervals)] == sorted(pairs)
-    a, b = cls(F(0), F(1)), cls(F(0), F(2))
-    assert a < b and a <= b and b > a and b >= a and a <= cls(F(0), F(1))
-    assert not (b < a or b <= a or a > b or a >= b)
-    with pytest.raises(TypeError):
-        a < (F(0), F(2))  # noqa: B015
 
 
 def test_interval_classes_do_not_order_against_each_other():
