@@ -7,9 +7,10 @@ the certificates that let every claim be re-checked from scratch.
 
 Importing the package runs none of its submodules. Each one is put in
 sys.modules unexecuted and runs on its first attribute access, so a request
-compiles only the modules it uses. An exported name is looked up in its home
-module on first use and then kept here; `cantorval.classify` is the function,
-and `cantorval.cli` is imported as usual.
+compiles only the modules it uses: `classify` runs the closed-form gap
+measure (`gapmeasure`) without the gap family (`gapforest`). An exported name
+is looked up in its home module on first use and then kept here;
+`cantorval.classify` is the function, and `cantorval.cli` is imported as usual.
 """
 
 __version__ = "0.1.0"
@@ -24,8 +25,8 @@ _EXPORTS = {
     "intervals": "ClosedInterval OpenInterval complement_gaps minkowski_diff minkowski_sum normalize",
     "construction": "RatioSequence cantor_approximation depth_length kept_interval length_drop",
     "diffsets": "code_str diff_interval gap_at gap_bounds overlap_at",
-    "gapforest": "GapFamily extreme_codes extreme_limits first_level gap_family gap_union_measure "
-    "gap_union_partial small_index_series small_ratio_indices smallest_valid_base",
+    "gapmeasure": "gap_union_measure small_index_series small_ratio_indices smallest_valid_base",
+    "gapforest": "GapFamily extreme_codes extreme_limits first_level gap_family gap_union_partial",
     "classify": "RULE_CANTOR RULE_CANTORVAL RULE_FINITE RULE_FULL RULE_UNKNOWN VERDICT_CANTOR "
     "VERDICT_CANTORVAL VERDICT_FINITE VERDICT_FULL VERDICT_UNKNOWN Certificate DepthRow "
     "ResidualEntry cantorval_measure classify cover_offset depth_report equation_residuals residuals_vanish",

@@ -1,5 +1,5 @@
 """What `cli.py` and the command handler modules share: reading the input,
-the depth option, the digit-limit checks and bulk rows.
+the depth option, the digit-limit checks, bulk rows and their chunks.
 
 Handler modules import this module, never `cantorval.cli`: under
 `python -m cantorval.cli` that import would run `cli.py` a second time.
@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .construction import RatioSequence
 from .errors import SpecValidationError
+from .rationals import fill_rows
 from .records import Record
 
 
@@ -88,3 +89,12 @@ class _Rows(Record):
 
 def _union_rows(los: Sequence[int], his: Sequence[int], denom: int) -> _Rows:
     return _Rows(template=_UNION_ROW, count=len(los), denom=denom, cut=lambda a, b: [los[a:b], his[a:b]])
+
+
+# bulk output is cut into pieces of at most this many rows
+_CHUNK_ROWS = 4096
+
+
+def _chunks(row: str, rows: _Rows) -> Iterator[str]:
+    for a in range(0, rows.count, _CHUNK_ROWS):
+        yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)

@@ -1,12 +1,13 @@
-"""The `gaps` and `render` commands, imported only when one of them runs, and
-the gap family's bulk rows. `render` alone imports the renderer."""
+"""The `gaps` command, imported only when it runs, and the gap family's bulk
+rows."""
 
 from __future__ import annotations
 
-from ._cli_common import _check_digits, _depth, _lambda_spec, _load_input, _Rows, _union_rows
+from ._cli_common import _check_digits, _depth, _lambda_spec, _load_input, _Rows
 from .diffsets import code_str
 from .errors import AssumptionError
-from .gapforest import gap_family, smallest_valid_base
+from .gapforest import gap_family
+from .gapmeasure import smallest_valid_base
 
 # a family gap's JSON row template at indent {0}, with keys sorted
 _GAP_ROW = '{{{0}  "code": "%s",{0}  "hi": "%d/%d",{0}  "lo": "%d/%d",{0}  "side": %d{0}}}'
@@ -45,20 +46,3 @@ def cmd_gaps(args, budget):
     for n, gaps in family.levels:
         lines.append(f"level {n}: {len(gaps)} gaps")
     return "\n".join(lines) + "\n", 0
-
-
-def cmd_render(args, budget):
-    from .render import ascii_depth_stack, depth_stack, svg_depth_stack
-
-    seq = _lambda_spec(_load_input(args.spec))
-    stack = depth_stack(seq, _depth(args, 5), budget)
-    if args.format != "json":
-        return {"text": ascii_depth_stack, "svg": svg_depth_stack}[args.format](stack), 0
-    # DepthStack.to_json(), with each row's parts and family gaps written by cli._json from the lattice
-    _check_digits(stack.gap_denom, *(row.union.denom for row in stack.rows))
-    rows = []
-    for row in stack.rows:
-        parts = _union_rows(row.union.los, row.union.his, row.union.denom)
-        gaps = _union_rows([lo for lo, _ in row.family_gaps], [hi for _, hi in row.family_gaps], stack.gap_denom)
-        rows.append({"depth": row.depth, "parts": parts, "family_gaps": gaps})
-    return {"hull": ["-1", "1"], "rows": rows}, 0

@@ -26,7 +26,7 @@ from functools import partial
 from . import lattice
 from .construction import THIRD, RatioSequence, depth_length
 from .errors import AssumptionError, SpecValidationError
-from .gapforest import gap_union_measure, require_base, small_ratio_indices, smallest_valid_base
+from .gapmeasure import gap_union_measure, require_base, small_ratio_indices, smallest_valid_base
 from .records import Record, fields_from_json, fields_json
 
 VERDICT_FULL = "FullInterval"

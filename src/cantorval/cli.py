@@ -6,10 +6,12 @@ plain text, or self-contained SVG. Exit codes are stable: 0 success,
 1 verification failure, 2 parse/validation error, 3 hypothesis violation,
 4 interval budget or the interpreter's digit limit on an exact value exceeded.
 
-This module holds what every request runs: the argv parser, main, the
-command table, the writer and the `approx` handler. Every other handler sits
-in a handler module (`_cli_certify`, `_cli_gaps`, `_cli_series`) imported
-only when its command runs, so a request compiles no other command's code.
+This module holds what every request runs: the direct argv parser, main, the
+command table and the writer. Each handler sits in a handler module
+(`_cli_approx`, `_cli_certify`, `_cli_gaps`, `_cli_render`, `_cli_series`)
+imported only when its command runs, so a request compiles no other command's
+code; the argparse parser sits in `_cli_argparse`, imported only for help and
+an argv that the direct parser declines.
 """
 
 from __future__ import annotations
@@ -22,28 +24,8 @@ from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
 
-from . import lattice
-from ._cli_common import _check_digits, _depth, _digit_limit, _lambda_spec, _load_input, _Rows, _union_rows
-from .budget import charge_power
-from .construction import THIRD, depth_length
+from ._cli_common import _chunks, _digit_limit, _Rows
 from .errors import CantorvalError, SpecValidationError
-from .rationals import fill_rows, format_rational
-
-
-def _cmd_approx(args, budget):
-    seq = _lambda_spec(_load_input(args.spec))
-    depth = _depth(args, 4)
-    charge_power(3, depth, budget)
-    if depth and seq.ratio_at(depth) < THIRD:
-        # the leftmost part is then exactly [-1, -1 + 2 d_n], so the reduced
-        # denominator of 2 d_n divides union.denom: the same refusal, before the fold
-        _check_digits((2 * depth_length(seq, depth)).denominator)
-    union = lattice.diff_approximation(seq, depth, budget)
-    _check_digits(union.denom)
-    if args.format == "text":
-        return _union_text(union), 0
-    parts = _union_rows(union.los, union.his, union.denom)
-    return {"depth": depth, "count": len(union.los), "measure": format_rational(union.measure), "parts": parts}, 0
 
 
 def _deferred(module: str) -> Callable:
@@ -56,7 +38,8 @@ def _deferred(module: str) -> Callable:
     return handler
 
 
-_CERTIFY, _GAPS, _SERIES = _deferred("_cli_certify"), _deferred("_cli_gaps"), _deferred("_cli_series")
+_APPROX, _CERTIFY, _GAPS = _deferred("_cli_approx"), _deferred("_cli_certify"), _deferred("_cli_gaps")
+_RENDER, _SERIES = _deferred("_cli_render"), _deferred("_cli_series")
 _JSON_TEXT = ("json", "text")
 # each command's handler, help, options besides --format and --out, and --format
 # values with the default first, as README's "Flags and limits" lists them. A
@@ -65,12 +48,12 @@ _JSON_TEXT = ("json", "text")
 _COMMANDS = {
     "classify": (_CERTIFY, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
     "measure": (_CERTIFY, "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
-    "approx": (_cmd_approx, "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
+    "approx": (_APPROX, "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
     "gaps": (_GAPS, "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
     "series": (_SERIES, "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
     "verify": (_CERTIFY, "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
     "render": (
-        _GAPS, "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
+        _RENDER, "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
     ),
     "examples": (_SERIES, "reproduce the three bundled examples end to end", (), _JSON_TEXT),
 }
@@ -85,27 +68,10 @@ _OPTIONS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, with one subparser per command."""
-    import argparse  # only help and the argv _parse_plain declines load it
+    # only help and the argv _parse_plain declines load it
+    from ._cli_argparse import build_parser
 
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):  # main prints it as one error: line and exits 2
-            raise SpecValidationError(f"{self.prog}: {message}")
-
-    parser = _Parser(
-        prog="cantorval",
-        description="Exact classification and measure of central Cantor set "
-        "difference sets, with series and doubling-pattern conversions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (_, help_text, options, formats) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for option in options:
-            kind, option_help = _OPTIONS[option]
-            p.add_argument(f"--{option}", type=kind, help=option_help)
-        default = formats[0]
-        p.add_argument("--format", choices=formats, default=default, help=f"output format (default {default})")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-    return parser
+    return build_parser(_COMMANDS, _OPTIONS)
 
 
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
@@ -130,19 +96,8 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args) if args["format"] in formats else None
 
 
-# bulk output is cut into pieces of at most this many rows, and written once
-# at least this many characters have gathered
-_CHUNK_ROWS = 4096
+# bulk output is written once at least this many characters have gathered
 _WRITE_CHARS = 1 << 16
-
-
-def _chunks(row: str, rows: _Rows) -> Iterator[str]:
-    for a in range(0, rows.count, _CHUNK_ROWS):
-        yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)
-
-
-def _union_text(union: lattice.IntervalUnion) -> Iterator[str]:
-    return _chunks("[%d/%d, %d/%d]\n", _union_rows(union.los, union.his, union.denom))
 
 
 def _json(value, indent: str = "\n") -> Iterator[str]:

@@ -13,7 +13,8 @@ from operator import itemgetter
 
 from .construction import RatioSequence
 from .errors import AssumptionError
-from .gapforest import gap_family, small_ratio_count, small_ratio_indices
+from .gapforest import gap_family, small_ratio_count
+from .gapmeasure import small_ratio_indices
 from .lattice import IntervalUnion, diff_approximation
 from .rationals import format_scaled
 from .records import Record

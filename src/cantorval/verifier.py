@@ -31,7 +31,8 @@ from .classify import (
 from .construction import THIRD, RatioSequence, cantor_approximation
 from .diffsets import Code, code_str, scaled_gap, scaled_interval, validate_code
 from .errors import AssumptionError, SpecValidationError
-from .gapforest import gap_family, gap_union_measure, gap_union_partial, small_ratio_count, small_ratio_indices
+from .gapforest import gap_family, gap_union_partial, small_ratio_count
+from .gapmeasure import gap_union_measure, small_ratio_indices
 from .intervals import minkowski_diff
 from .lattice import IntervalUnion, diff_approximation
 from .records import Record

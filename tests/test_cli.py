@@ -31,10 +31,11 @@ from cantorval import (
     series_from_ratios,
     verify_certificate,
 )
-from cantorval import cli
-from cantorval._cli_common import _union_rows
+from cantorval import _cli_argparse, cli
+from cantorval._cli_approx import _union_text
+from cantorval._cli_common import _CHUNK_ROWS, _union_rows
 from cantorval._cli_gaps import _family_rows
-from cantorval.cli import _CHUNK_ROWS, _HANDLERS, _json, _parse_plain, build_parser, main
+from cantorval.cli import _HANDLERS, _json, _parse_plain, build_parser, main
 from strategies import ratio_sequences
 
 _CORPUS_FILE = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
@@ -560,8 +561,9 @@ class TestExitCodes:
         assert err == f"error: cantorval: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
     def test_a_well_formed_argv_builds_no_parser(self, capsys, monkeypatch):
-        built = []
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        # the builder in _cli_argparse, which cli.build_parser calls, sees every parser built
+        built, builder = [], _cli_argparse.build_parser
+        monkeypatch.setattr(_cli_argparse, "build_parser", lambda *tables: built.append(1) or builder(*tables))
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "1")
         assert built == []
         # another spelling of the same request is left to argparse
@@ -580,34 +582,62 @@ class TestExitCodes:
         [
             pytest.param(
                 ["approx", "--spec", SMALL_SPEC, "--depth", "2", "--format", "text"],
-                {"lattice"},
-                {"intervals", "diffsets", "classify", "gapforest", "series", "render"},
+                {"lattice", "_cli_approx"},
+                {"intervals", "diffsets", "classify", "gapforest", "gapmeasure", "series", "render"},
                 id="approx",
             ),
-            pytest.param(["gaps", "--spec", EX1_SPEC, "--depth", "2"], {"gapforest"}, {"classify", "series", "render"}, id="gaps"),
             pytest.param(
-                ["render", "--spec", EX1_SPEC, "--depth", "2", "--format", "text"], {"render"}, {"classify", "series"}, id="render"
+                ["gaps", "--spec", EX1_SPEC, "--depth", "2"],
+                {"gapforest", "gapmeasure", "_cli_gaps"},
+                {"classify", "series", "render", "_cli_render"},
+                id="gaps",
             ),
-            pytest.param(["classify", "--spec", EX1_SPEC], {"classify"}, {"series", "render"}, id="classify"),
-            pytest.param(["examples"], {"series"}, {"render"}, id="examples"),
+            pytest.param(
+                ["render", "--spec", EX1_SPEC, "--depth", "2", "--format", "text"],
+                {"render", "_cli_render"},
+                {"classify", "series", "_cli_gaps"},
+                id="render",
+            ),
+            # the closed-form measure alone: none of the gap family's code
+            pytest.param(["classify", "--spec", EX1_SPEC], {"classify", "gapmeasure"}, {"gapforest", "series", "render"}, id="classify"),
+            pytest.param(
+                ["classify", "--spec", UNKNOWN_SPEC], {"classify", "gapmeasure", "lattice"}, {"gapforest", "series"}, id="classify-unknown"
+            ),
+            pytest.param(["measure", "--spec", EX1_SPEC], {"classify", "gapmeasure"}, {"gapforest", "series"}, id="measure"),
+            pytest.param(["series", "--spec", EX1_SPEC], {"series", "gapmeasure"}, {"gapforest", "render"}, id="series"),
+            pytest.param(["examples"], {"series", "gapmeasure"}, {"gapforest", "render"}, id="examples"),
         ],
     )
     def test_well_formed_request_executes_only_its_modules(self, argv, runs, skips):
-        # a submodule's type is still the lazy loader's subclass until its code has run
-        probe = (
-            "import json, sys, types, cantorval.cli\n"
-            "status = cantorval.cli.main(sys.argv[1:])\n"
-            "ran = [n[10:] for n, m in sys.modules.items() if n.startswith('cantorval.') and type(m) is types.ModuleType]\n"
-            "print(json.dumps([status, ran, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=60
-        )
-        status, ran, parsers = json.loads(done.stdout.splitlines()[-1])
-        assert (status, done.stderr) == (0, "")
-        assert runs <= set(ran) and skips.isdisjoint(ran), ran
+        status, ran, parsers, stderr = _modules_and_parsers(argv)
+        assert (status, stderr) == (0, "")
+        assert runs <= set(ran) and skips.isdisjoint(ran) and "_cli_argparse" not in ran, ran
         assert parsers == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["approx", "--spec", EX1_SPEC, "--depth=1"]], ids=["help", "declined"])
+    def test_help_and_a_declined_argv_run_the_argparse_module(self, argv):
+        status, ran, parsers, stderr = _modules_and_parsers(argv)
+        assert (status, stderr) == (0, "")
+        assert "_cli_argparse" in ran and "argparse" in parsers, ran
+
+
+def _modules_and_parsers(argv: list[str]) -> tuple[int, list[str], list[str], str]:
+    """One request in a fresh interpreter: its exit status (help's SystemExit
+    code), the submodules whose code ran, the argparse modules loaded, and stderr."""
+    # a submodule's type is still the lazy loader's subclass until its code has run
+    probe = (
+        "import json, sys, types, cantorval.cli\n"
+        "try:\n"
+        "    status = cantorval.cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "ran = [n[10:] for n, m in sys.modules.items() if n.startswith('cantorval.') and type(m) is types.ModuleType]\n"
+        "print(json.dumps([status, ran, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=60)
+    status, ran, parsers = json.loads(done.stdout.splitlines()[-1])
+    return status, ran, parsers, done.stderr
 
 
 def _parity_requests() -> dict[str, list[str]]:
@@ -918,7 +948,7 @@ class TestJsonWriter:
         assert "".join(_json(rows)) == _dumps(union.to_json())
         assert "".join(_json({"parts": [rows]})) == _dumps({"parts": [union.to_json()]})
         text = "".join(f"[{lo}, {hi}]\n" for lo, hi in union.to_json())
-        assert "".join(cli._union_text(union)) == text
+        assert "".join(_union_text(union)) == text
 
     @pytest.mark.parametrize("depth", [1, 3, 8, 9])
     def test_chunked_family_levels_match_json_dumps(self, depth):

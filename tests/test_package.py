@@ -8,6 +8,7 @@ modules define, and `cantorval.classify` stays the function even once the
 submodule of that name has been imported.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -39,14 +40,14 @@ REQUESTS = {
 # that only calls into lattice, intervals or diffsets runs none of them until it does
 EVERY = {"errors", "budget", "rationals", "records", "construction", "cli", "_cli_common"}
 OWN = {
-    "approx": {"lattice"},
-    "gaps": {"diffsets", "gapforest", "_cli_gaps"},
-    "render": {"lattice", "diffsets", "gapforest", "render", "_cli_gaps"},
-    "classify": {"gapforest", "classify", "_cli_certify"},
-    "measure": {"gapforest", "classify", "_cli_certify"},
-    "verify": {"lattice", "intervals", "diffsets", "gapforest", "classify", "verifier", "_cli_certify"},
-    "series": {"gapforest", "classify", "series", "_cli_series"},
-    "examples": {"gapforest", "classify", "series", "_cli_series"},
+    "approx": {"lattice", "_cli_approx"},
+    "gaps": {"diffsets", "gapmeasure", "gapforest", "_cli_gaps"},
+    "render": {"lattice", "diffsets", "gapmeasure", "gapforest", "render", "_cli_render"},
+    "classify": {"gapmeasure", "classify", "_cli_certify"},
+    "measure": {"gapmeasure", "classify", "_cli_certify"},
+    "verify": {"lattice", "intervals", "diffsets", "gapmeasure", "gapforest", "classify", "verifier", "_cli_certify"},
+    "series": {"gapmeasure", "classify", "series", "_cli_series"},
+    "examples": {"gapmeasure", "classify", "series", "_cli_series"},
 }
 
 
@@ -97,6 +98,15 @@ def test_the_lattice_kernel_is_reached_from_its_former_homes():
     assert diff_approximation is lattice.diff_approximation
     with pytest.raises(AttributeError, match="module 'cantorval.diffsets' has no attribute 'fold_copies'"):
         diffsets.fold_copies  # noqa: B018
+
+
+def test_the_gap_family_module_binds_the_closed_form_names_it_calls():
+    # perfbench/tracer.py wraps them as gapforest.small_ratio_indices and
+    # gapforest.gap_union_measure, at every module that binds the same object
+    from cantorval import gapforest, gapmeasure
+
+    assert gapforest.small_ratio_indices is gapmeasure.small_ratio_indices
+    assert gapforest.gap_union_measure is gapmeasure.gap_union_measure
 
 
 def test_star_import_binds_every_exported_name():
@@ -153,7 +163,7 @@ def test_the_installed_script_ends_through_run():
 def test_each_command_runs_only_its_own_modules(command):
     # so approx runs the lattice kernel alone, only verify runs the verifier
     # and intervals, gaps runs no classify, and classify, measure, series and
-    # examples run none of lattice, intervals and diffsets
+    # examples run none of lattice, intervals, diffsets and the gap family
     assert modules_run(command, *REQUESTS[command]) == ("0", EVERY | OWN[command])
 
 
@@ -161,8 +171,26 @@ def test_the_node_count_tool_lists_the_same_modules():
     done = fresh(str(SRC.parent / "tools" / "compiled_nodes.py"), str(SRC))
     head, _, _, *rows = done.stdout.splitlines()
     assert (head, done.stderr) == (f"every request runs: {' '.join(sorted(EVERY))}", "")
-    listed = {label: set(modules.split(", ")) for label, _, modules in (row[2:-2].split(" | ") for row in rows)}
+    cells = [row[2:-2].split(" | ") for row in rows]
+    listed = {label: set(modules.split(", ")) for label, _, _, modules in cells}
     assert listed == {**OWN, "classify (Unknown)": OWN["classify"] | {"lattice"}}
+    # the functions a request never entered are some of the nodes it compiled
+    assert all(0 < int(idle.replace(",", "")) < int(total.replace(",", "")) for _, total, idle, _ in cells)
+
+
+def test_the_unrun_column_counts_the_functions_a_request_never_entered():
+    spec = importlib.util.spec_from_file_location("compiled_nodes", SRC.parent / "tools" / "compiled_nodes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    ran, entered, _ = tool.run(SRC, ["approx", "--spec", EX1_SPEC, "--depth", "2"])
+    idle = tool.unrun(SRC / "cantorval" / "lattice.py", entered)
+    # approx folds the lattice and prints it, but reads no union back
+    assert "IntervalUnion.from_json" in idle and "diff_approximation" not in idle
+    # a decorated method's code starts at its decorator: the measure property ran
+    assert "IntervalUnion.measure" not in idle
+    (row,) = [row for row in tool.table(SRC) if row[0] == "approx"]
+    paths = [SRC / "cantorval" / f"{name}.py" for name in ["__init__", *ran]]
+    assert row[2] == sum(sum(tool.unrun(path, entered).values()) for path in paths)
 
 
 def test_a_classify_that_needs_approximations_runs_the_lattice_kernel_alone():
