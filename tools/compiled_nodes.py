@@ -86,11 +86,11 @@ def definitions(tree: ast.Module):
     """(qualified name, node) of each top-level function and of each method of
     a top-level class."""
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, ast.FunctionDef):
             yield stmt.name, stmt
         elif isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(item, ast.FunctionDef):
                     yield f"{stmt.name}.{item.name}", item
 
 
