@@ -7,11 +7,11 @@ plain text, or self-contained SVG. Exit codes are stable: 0 success,
 4 interval budget or the interpreter's digit limit on an exact value exceeded.
 
 This module holds what every request runs: the direct argv parser, main, the
-command table and the writer. Each handler sits in a handler module
-(`_cli_approx`, `_cli_certify`, `_cli_gaps`, `_cli_render`, `_cli_series`)
-imported only when its command runs, so a request compiles no other command's
-code; the argparse parser sits in `_cli_argparse`, imported only for help and
-an argv that the direct parser declines.
+command table and the writer. The command table names each command's handler
+module (`_cli_approx`, `_cli_certify`, `_cli_gaps`, `_cli_render`,
+`_cli_series`), which main imports when the command runs, so a request
+compiles no other command's code; the argparse parser sits in `_cli_argparse`,
+imported only for help and an argv that the direct parser declines.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
@@ -28,36 +28,24 @@ from ._cli_common import _chunks, _digit_limit, _Rows
 from .errors import CantorvalError, SpecValidationError
 
 
-def _deferred(module: str) -> Callable:
-    """The handler of each command whose code is in the handler module `module`:
-    its function cmd_<command>, the module imported when such a command first runs."""
-
-    def handler(args, budget):
-        return getattr(import_module(f"{__package__}.{module}"), f"cmd_{args.command}")(args, budget)
-
-    return handler
-
-
-_APPROX, _CERTIFY, _GAPS = _deferred("_cli_approx"), _deferred("_cli_certify"), _deferred("_cli_gaps")
-_RENDER, _SERIES = _deferred("_cli_render"), _deferred("_cli_series")
 _JSON_TEXT = ("json", "text")
-# each command's handler, help, options besides --format and --out, and --format
-# values with the default first, as README's "Flags and limits" lists them. A
-# handler returns (body, exit status): a str or an iterator of str printed as it
-# is, or a JSON value.
+# each command's handler module, help, options besides --format and --out, and
+# --format values with the default first, as README's "Flags and limits" lists
+# them. The module is imported when the command runs, and its cmd_<command>
+# returns (body, exit status): a str or an iterator of str printed as it is, or
+# a JSON value.
 _COMMANDS = {
-    "classify": (_CERTIFY, "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
-    "measure": (_CERTIFY, "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
-    "approx": (_APPROX, "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
-    "gaps": (_GAPS, "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
-    "series": (_SERIES, "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
-    "verify": (_CERTIFY, "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
+    "classify": ("_cli_certify", "decide the trichotomy and emit a certificate", ("spec", "budget", "k0"), _JSON_TEXT),
+    "measure": ("_cli_certify", "exact measure of the difference set", ("spec", "budget"), _JSON_TEXT),
+    "approx": ("_cli_approx", "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
+    "gaps": ("_cli_gaps", "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
+    "series": ("_cli_series", "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
+    "verify": ("_cli_certify", "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
     "render": (
-        _RENDER, "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
+        "_cli_render", "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
     ),
-    "examples": (_SERIES, "reproduce the three bundled examples end to end", (), _JSON_TEXT),
+    "examples": ("_cli_series", "reproduce the three bundled examples end to end", (), _JSON_TEXT),
 }
-_HANDLERS = {name: entry[0] for name, entry in _COMMANDS.items()}
 _OPTIONS = {
     "spec": (str, "spec file path, or inline JSON starting with '{'"),
     "depth": (int, "construction depth / family levels"),
@@ -172,7 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         budget = getattr(args, "budget", None)  # series and examples take no --budget
         if budget is not None and budget < 1:
             raise SpecValidationError("--budget must be >= 1")
-        body, status = _HANDLERS[args.command](args, budget)
+        module = _COMMANDS[args.command][0]
+        body, status = getattr(import_module(f"{__package__}.{module}"), f"cmd_{args.command}")(args, budget)
         try:
             _emit(args, body)
         except BrokenPipeError:

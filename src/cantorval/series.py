@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import lattice
 from .budget import charge_power
-from .classify import VERDICT_CANTORVAL, Certificate, classify
 from .construction import RatioSequence, length_drop
 from .errors import AssumptionError, SpecValidationError, VerificationError
 from .rationals import to_lattice
@@ -237,8 +236,10 @@ def series_from_pattern(
     Doubling closes the gap a plain term would leave, so the induced ratio
     sequence always lands in the Cantorval regime with vanishing cover
     residuals, and series total times measure is 3; both are verified, not
-    assumed.
+    assumed. Only this function imports classify: converting ratios or a series runs none of it.
     """
+    from .classify import VERDICT_CANTORVAL, classify
+
     span = len(pattern.prefix_bits) + len(pattern.period_bits)
 
     def term(j: int) -> Fraction:

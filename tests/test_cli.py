@@ -31,11 +31,11 @@ from cantorval import (
     series_from_ratios,
     verify_certificate,
 )
-from cantorval import _cli_argparse, cli
+from cantorval import _cli_approx, _cli_argparse, _cli_series, cli
 from cantorval._cli_approx import _union_text
 from cantorval._cli_common import _CHUNK_ROWS, _union_rows
 from cantorval._cli_gaps import _family_rows
-from cantorval.cli import _HANDLERS, _json, _parse_plain, build_parser, main
+from cantorval.cli import _json, _parse_plain, build_parser, main
 from strategies import ratio_sequences
 
 _CORPUS_FILE = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
@@ -104,7 +104,7 @@ class TestClassify:
 
     def test_svg_rejected_outside_render(self, capsys, monkeypatch):
         # argparse refuses it before the command runs
-        monkeypatch.setitem(_HANDLERS, "classify", lambda args, budget: pytest.fail("classify ran"))
+        monkeypatch.setattr("cantorval._cli_certify.cmd_classify", lambda args, budget: pytest.fail("classify ran"))
         _, err = run(capsys, "classify", "--spec", EX1_SPEC, "--format", "svg", expect=2)
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "argument --format: invalid choice: 'svg'" in err
@@ -292,6 +292,23 @@ class TestExamples:
         assert out.count("\n") == 3
         for token in ("2n", "3n", "8/5", "13/7", "26/17"):
             assert token in out
+
+    @pytest.mark.parametrize(
+        "field, wrong, message",
+        [
+            (
+                "period",
+                ("7/15", "5/22"),
+                "pattern 2n induced ratios {'prefix': [], 'period': ['7/15', '5/21']}, expected period ('7/15', '5/22')",
+            ),
+            ("measure", "8/7", "pattern 2n gave measure 8/5, expected 8/7"),
+        ],
+    )
+    def test_a_wrong_bundled_example_fails_verification(self, capsys, monkeypatch, field, wrong, message):
+        first, *rest = _cli_series._EXAMPLES
+        monkeypatch.setattr(_cli_series, "_EXAMPLES", ({**first, field: wrong}, *rest))
+        out, err = run(capsys, "examples", expect=1)
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 class TestExitCodes:
@@ -527,6 +544,15 @@ class TestExitCodes:
         _, err = run(capsys, "classify", "--spec", str(spec_file), expect=2)
         assert err.startswith(f"error: cannot read spec file {spec_file}: ") and err.count("\n") == 1
 
+    def test_a_value_error_besides_the_digit_limit_escapes_main(self, monkeypatch):
+        # only the digit limit's ValueError becomes exit 4: any other is a fault
+        def broken(args, budget):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(_cli_approx, "cmd_approx", broken)
+        with pytest.raises(ValueError, match="^not a digit limit$"):
+            main(["approx", "--spec", SMALL_SPEC, "--depth", "1"])
+
     def test_unknown_command_exits_two(self, capsys):
         # argparse's own errors, a bad --depth among them, follow the one-line rule
         for argv, words in (
@@ -604,7 +630,8 @@ class TestExitCodes:
                 ["classify", "--spec", UNKNOWN_SPEC], {"classify", "gapmeasure", "lattice"}, {"gapforest", "series"}, id="classify-unknown"
             ),
             pytest.param(["measure", "--spec", EX1_SPEC], {"classify", "gapmeasure"}, {"gapforest", "series"}, id="measure"),
-            pytest.param(["series", "--spec", EX1_SPEC], {"series", "gapmeasure"}, {"gapforest", "render"}, id="series"),
+            # a lambda spec converts without classifying
+            pytest.param(["series", "--spec", EX1_SPEC], {"series"}, {"classify", "gapmeasure", "gapforest"}, id="series"),
             pytest.param(["examples"], {"series", "gapmeasure"}, {"gapforest", "render"}, id="examples"),
         ],
     )

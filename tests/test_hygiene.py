@@ -3,7 +3,8 @@
 No module imports a name it never uses, every private top-level function,
 class and constant is referenced from somewhere other than its own
 definition, every public method is called by the package, its benchmark
-or its tools, and no module reads the process environment.
+or its tools, no module reads the process environment, and the CLI's command
+table and the handler functions of its handler modules name each other.
 """
 
 import ast
@@ -11,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from cantorval.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cantorval"
@@ -195,3 +198,31 @@ def test_environment_reads_flags_every_spelling():
     assert set(environment_reads(ast.parse(source))) == {
         "from os import getenvb (line 3)", "os.environ (line 4)", "o.getenv (line 5)", "os.environb (line 6)"
     }
+
+
+def command_handlers(trees: dict) -> set[tuple[str, str]]:
+    """(module, function) of each top-level cmd_* function of the handler modules _cli_*.py."""
+    return {
+        (name.removesuffix(".py"), stmt.name)
+        for name, tree in trees.items()
+        if name.startswith("_cli_")
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("cmd_")
+    }
+
+
+def test_each_command_reaches_a_handler_and_each_handler_a_command():
+    # main runs cmd_<command> of the module the command's entry names
+    wired = {(module, f"cmd_{command}") for command, (module, *_) in _COMMANDS.items()}
+    defined = command_handlers(TREES)
+    assert sorted(wired - defined) == [], "commands whose module defines no handler of that name"
+    assert sorted(defined - wired) == [], "handlers that no command's entry reaches"
+
+
+def test_command_handlers_reads_the_top_level_functions_of_handler_modules():
+    source = (
+        "def cmd_a(args, budget):\n    def cmd_inner():\n        pass\n"
+        "class C:\n    def cmd_b(self):\n        pass\n\n\ndef _cmd_helper():\n    pass\n"
+    )
+    trees = {"_cli_x.py": ast.parse(source), "cli.py": ast.parse("def cmd_c(args, budget):\n    pass\n")}
+    assert command_handlers(trees) == {("_cli_x", "cmd_a")}

@@ -5,17 +5,20 @@ Importing `cantorval` runs none of its submodules; each runs on its first
 attribute access, and a CLI request runs only the modules its command uses.
 The names a user reaches through the package are the same objects its home
 modules define, and `cantorval.classify` stays the function even once the
-submodule of that name has been imported.
+submodule of that name has been imported. A public call given an argument
+outside its range raises its documented error.
 """
 
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from specimens import EX1
 
 import cantorval
 
@@ -46,7 +49,7 @@ OWN = {
     "classify": {"gapmeasure", "classify", "_cli_certify"},
     "measure": {"gapmeasure", "classify", "_cli_certify"},
     "verify": {"lattice", "intervals", "diffsets", "gapmeasure", "gapforest", "classify", "verifier", "_cli_certify"},
-    "series": {"gapmeasure", "classify", "series", "_cli_series"},
+    "series": {"series", "_cli_series"},
     "examples": {"gapmeasure", "classify", "series", "_cli_series"},
 }
 
@@ -109,6 +112,62 @@ def test_the_gap_family_module_binds_the_closed_form_names_it_calls():
     assert gapforest.gap_union_measure is gapmeasure.gap_union_measure
 
 
+EX1_SERIES = cantorval.series_from_ratios(EX1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: cantorval.resolve_budget(0), ValueError, "budget must be positive", id="resolve_budget"),
+        pytest.param(lambda: cantorval.cover_offset(EX1, 0), ValueError, "level must be >= 1", id="cover_offset"),
+        pytest.param(lambda: cantorval.depth_length(EX1, -1), ValueError, "depth must be >= 0", id="depth_length"),
+        pytest.param(lambda: EX1.ratio_at(0), ValueError, "depth index must be >= 1, got 0", id="ratio_at"),
+        pytest.param(
+            lambda: cantorval.kept_interval(EX1, (2,)),
+            ValueError,
+            "binary code digits must be 0 or 1: (2,)",
+            id="kept_interval",
+        ),
+        pytest.param(
+            lambda: cantorval.cantor_approximation(EX1, -1), ValueError, "depth must be >= 0", id="cantor_approximation"
+        ),
+        pytest.param(
+            lambda: cantorval.extreme_codes(EX1, (), 0),
+            ValueError,
+            "level 0 is below the first family level 1",
+            id="extreme_codes",
+        ),
+        pytest.param(
+            lambda: cantorval.gap_family(EX1, (), 0), ValueError, "upto 0 is below the first family level 1", id="gap_family"
+        ),
+        pytest.param(lambda: cantorval.gap_union_partial(EX1, -1), ValueError, "terms must be >= 0", id="gap_union_partial"),
+        pytest.param(
+            lambda: cantorval.gapmeasure.require_base(EX1, -1),
+            cantorval.AssumptionError,
+            "base -1 is invalid: it must be >= 0",
+            id="require_base",
+        ),
+        pytest.param(
+            lambda: cantorval.diff_approximation(EX1, -1), ValueError, "depth must be >= 0", id="diff_approximation"
+        ),
+        pytest.param(lambda: cantorval.depth_stack(EX1, -1), ValueError, "depth must be >= 0", id="depth_stack"),
+        pytest.param(
+            lambda: cantorval.ascii_depth_stack(cantorval.depth_stack(EX1, 1), 1),
+            ValueError,
+            "width must be >= 2",
+            id="ascii_depth_stack",
+        ),
+        pytest.param(lambda: EX1_SERIES.term(0), ValueError, "term index must be >= 1", id="term"),
+        pytest.param(lambda: EX1_SERIES.remainder(-1), ValueError, "remainder index must be >= 0", id="remainder"),
+        pytest.param(lambda: cantorval.subsum_cover(EX1_SERIES, -1), ValueError, "depth must be >= 0", id="subsum_cover"),
+        pytest.param(lambda: cantorval.DoublingPattern().bit(0), ValueError, "position must be >= 1", id="bit"),
+    ],
+)
+def test_an_argument_out_of_range_raises_the_documented_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from cantorval import *", namespace)
@@ -162,8 +221,9 @@ def test_the_installed_script_ends_through_run():
 @pytest.mark.parametrize("command", sorted(REQUESTS))
 def test_each_command_runs_only_its_own_modules(command):
     # so approx runs the lattice kernel alone, only verify runs the verifier
-    # and intervals, gaps runs no classify, and classify, measure, series and
-    # examples run none of lattice, intervals, diffsets and the gap family
+    # and intervals, gaps runs no classify, classify, measure, series and
+    # examples run none of lattice, intervals, diffsets and the gap family, and
+    # series on a lambda spec runs no classify either
     assert modules_run(command, *REQUESTS[command]) == ("0", EVERY | OWN[command])
 
 
