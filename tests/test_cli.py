@@ -303,6 +303,7 @@ class TestExamples:
             ),
             ("measure", "8/7", "pattern 2n gave measure 8/5, expected 8/7"),
         ],
+        ids=["period", "measure"],
     )
     def test_a_wrong_bundled_example_fails_verification(self, capsys, monkeypatch, field, wrong, message):
         first, *rest = _cli_series._EXAMPLES
