@@ -13,15 +13,11 @@ from .gapmeasure import smallest_valid_base
 _GAP_ROW = '{{{0}  "code": "%s",{0}  "hi": "%d/%d",{0}  "lo": "%d/%d",{0}  "side": %d{0}}}'
 
 
-def _level_rows(gaps: dict, denom: int) -> _Rows:
-    refs = list(gaps)
-
+def _level_rows(gaps, denom: int) -> _Rows:
     def cut(a: int, b: int) -> list:
-        part = refs[a:b]
-        ends = [gaps[ref] for ref in part]
-        return [[code_str(c) for c, _ in part], [hi for _, hi in ends], [lo for lo, _ in ends], [s for _, s in part]]
+        return [gaps.codes[a:b], gaps.his[a:b], gaps.los[a:b], gaps.sides[a:b]]
 
-    return _Rows(template=_GAP_ROW, count=len(refs), denom=denom, cut=cut)
+    return _Rows(template=_GAP_ROW, count=len(gaps), denom=denom, cut=cut)
 
 
 def _family_rows(family) -> dict:

@@ -3,10 +3,11 @@
 When the ratio sequence drops below 1/3 at infinitely many depths while also
 staying at or above 1/3 infinitely often, the gaps opened at the small-ratio
 depths can survive every later overlap. This module builds the family of
-those candidate persistent gaps one level from the last: each gap, named by
-its (code, side) pair, has three descendants (itself and the two gaps that
-flank the child over it) and carries its left end, so its ends are one
-diffsets.scaled_gap call on integers over one denominator. It computes the
+those candidate persistent gaps one level from the last, as parallel columns
+of digit-string codes, sides and ends: each gap, named by its (code, side)
+pair, has three descendants (itself and the two gaps that flank the child over
+it) and carries its left end, so its ends are that end plus one of two
+offsets per side, integers over one denominator. It computes the
 two extreme codes that bound each level, their limits and the family's
 partial length. The closed-form sums, the small-ratio depths and the base
 checks are `gapmeasure`'s, which `classify` runs without this module; the
@@ -68,28 +69,35 @@ def extreme_codes(
     return tuple(left), tuple(right)
 
 
+class FamilyLevel(Record):
+    """One family level as parallel columns in (code, side) order: each gap's
+    code as a string of ternary digits, its side, 0 left or 1 right, and its
+    ends, integers over the family's denom."""
+
+    codes: list[str]
+    sides: list[int]
+    los: list[int]
+    his: list[int]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
 class GapFamily(Record):
-    """Family levels m..N under one root code; each maps its gaps, named by
-    (code, side) pairs and in their order, to their ends over denom."""
+    """Family levels m..N under one root code, each a FamilyLevel."""
 
     root: diffsets.Code
     base: int
     denom: int
-    levels: tuple[tuple[int, dict[tuple[diffsets.Code, int], tuple[int, int]]], ...]
-
-    def level(self, n: int) -> dict[tuple[diffsets.Code, int], tuple[int, int]]:
-        for lvl, gaps in self.levels:
-            if lvl == n:
-                return gaps
-        raise KeyError(n)
+    levels: tuple[tuple[int, FamilyLevel], ...]
 
     def to_json(self) -> dict:
         levels = {}
         for lvl, gaps in self.levels:
-            ends = format_scaled([x for g in gaps.values() for x in g], self.denom)
+            los, his = format_scaled(gaps.los, self.denom), format_scaled(gaps.his, self.denom)
             levels[str(lvl)] = [
-                {"code": diffsets.code_str(code), "side": side, "lo": lo, "hi": hi}
-                for (code, side), lo, hi in zip(gaps, ends[0::2], ends[1::2])
+                {"code": code, "side": side, "lo": lo, "hi": hi}
+                for code, side, lo, hi in zip(gaps.codes, gaps.sides, los, his)
             ]
         return {"root": diffsets.code_str(self.root), "k0": self.base, "levels": levels}
 
@@ -102,9 +110,11 @@ def gap_family(
     Level m holds the two extreme gaps of its small-ratio depth. One level
     down, each gap keeps three descendants: itself, persisting through a run
     of its side's extreme digit, and the two gaps that flank the child
-    interval over it. Each gap carries the left end of the interval it opens
-    under: its parent's plus the weights of the digits it appends. Level m + i
-    holds 2*3^i gaps, so the budget is charged for all 3^(upto-m+1) - 1 up front.
+    interval over it. A descendant's code is its parent's plus one of three
+    digit strings fixed by the level and the parent's side, and it carries
+    the left end of the interval it opens under: its parent's plus the weights
+    of the digits it appends. Level m + i holds 2*3^i gaps, so the budget is
+    charged for all 3^(upto-m+1) - 1 up front.
     """
     digits = diffsets.validate_code(root)
     k = len(digits)
@@ -114,13 +124,12 @@ def gap_family(
     charge_power(3, upto - m + 1, budget, less=1)
     ks = small_ratio_indices(seq, base, upto)
     table = seq.depth_table(ks[-1])
-    km = ks[m - 1]
+    ints, km = table.ints, ks[m - 1]
     lo, _ = diffsets.scaled_interval(table, digits)
-    # each gap of the current level, mapped to the left end of the interval it opens under
-    lefts = {
-        (digits + (0,) * (km - k - 1), 0): lo,
-        (digits + (2,) * (km - k - 1), 1): lo + 2 * (table.ints[k] - table.ints[km - 1]),
-    }
+    prefix, run = diffsets.code_str(digits), km - k - 1
+    # the current level's gaps, and the left end of the interval each opens under
+    codes, sides = [prefix + "0" * run, prefix + "2" * run], [0, 1]
+    lefts = [lo, lo + 2 * (ints[k] - ints[km - 1])]
     levels = []
     for n in range(m, upto + 1):
         kn = ks[n - 1]
@@ -128,20 +137,22 @@ def gap_family(
             prev = ks[n - 2]
             run = kn - prev - 1
             # the weight of the digit at depth prev, and the summed weights of depths prev+1..kn-1
-            drop, rest = table.drops[prev - 1], table.ints[prev] - table.ints[kn - 1]
-            below = {}
-            # the descendants in (code, side) order: a left gap persists through 0s, a right one through 2s
-            for (code, side), left in lefts.items():
-                if side == 0:
-                    below[code + (0,) * (run + 1), 0] = left
-                    below[code + (0,) + (2,) * run, 1] = left + 2 * rest
-                    below[code + (1,) + (0,) * run, 0] = left + drop
-                else:
-                    below[code + (1,) + (2,) * run, 1] = left + drop + 2 * rest
-                    below[code + (2,) + (0,) * run, 0] = left + 2 * drop
-                    below[code + (2,) * (run + 1), 1] = left + 2 * (drop + rest)
-            lefts = below
-        levels.append((n, {gap: diffsets.scaled_gap(table, left, kn - 1, gap[1]) for gap, left in lefts.items()}))
+            drop, rest = table.drops[prev - 1], ints[prev] - ints[kn - 1]
+            # per parent side, the descendants in (code, side) order: a left gap
+            # persists through 0s, a right one through 2s
+            tails = (
+                ("0" * (run + 1), "0" + "2" * run, "1" + "0" * run),
+                ("1" + "2" * run, "2" + "0" * run, "2" * (run + 1)),
+            )
+            steps = ((0, 2 * rest, drop), (drop + 2 * rest, 2 * drop, 2 * (drop + rest)))
+            codes = [code + tail for code, p in zip(codes, sides) for tail in tails[p]]
+            lefts = [left + step for left, p in zip(lefts, sides) for step in steps[p]]
+            sides = [side for p in sides for side in ((0, 1, 0), (1, 0, 1))[p]]
+        # the gap ends on each side, as offsets from the left end
+        (lo0, hi0), (lo1, hi1) = (diffsets.scaled_gap(table, 0, kn - 1, side) for side in (0, 1))
+        los = [left + (lo1 if side else lo0) for left, side in zip(lefts, sides)]
+        his = [left + (hi1 if side else hi0) for left, side in zip(lefts, sides)]
+        levels.append((n, FamilyLevel(codes, sides, los, his)))
     return GapFamily(root=digits, base=base, denom=table.denom, levels=tuple(levels))
 
 

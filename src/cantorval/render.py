@@ -57,7 +57,7 @@ def depth_stack(seq: RatioSequence, depth: int, budget: int | None = None) -> De
             # the family is charged before its depths are listed
             family = gap_family(seq, root=(), upto=count, budget=budget)
             ks = small_ratio_indices(seq, 0, count)
-            opened_at = {k: sorted(family.level(n).values()) for n, k in enumerate(ks, 1)}
+            opened_at = {k: sorted(zip(gaps.los, gaps.his)) for k, (_, gaps) in zip(ks, family.levels)}
             denom = family.denom
     except AssumptionError:
         pass

@@ -96,7 +96,8 @@ def cover_alignment(
     """
     digits = validate_code(root)
     # the family is charged before the depths up to its level are listed
-    family = gap_family(seq, digits, level, base, budget).level(level)
+    gaps = gap_family(seq, digits, level, base, budget).levels[-1][1]
+    members = {(tuple(map(int, code)), side) for code, side in zip(gaps.codes, gaps.sides)}
     ks = small_ratio_indices(seq, base, level + 1)
     kn = ks[level - 1]
     charge(2 * 3 ** (kn - 1 - len(digits)), budget)
@@ -104,14 +105,17 @@ def cover_alignment(
     k = ks[level]
     table = seq.depth_table(k)
     twice_offset = 3 * table.ints[k] + table.ints[k - 1]
+    # the left end of each code's interval in the walk's order, carried one digit at a time
+    lefts = [scaled_interval(table, digits)[0]]
+    for w in table.drops[len(digits) : kn - 1]:
+        lefts = [x + step for x in lefts for step in (0, w, 2 * w)]
 
     checked = 0
     failures: list[str] = []
-    for tail in itertools.product((0, 1, 2), repeat=kn - 1 - len(digits)):
+    for tail, left in zip(itertools.product((0, 1, 2), repeat=kn - 1 - len(digits)), lefts):
         code = digits + tail
-        left, _ = scaled_interval(table, code)
         for side in (0, 1):
-            if (code, side) in family:
+            if (code, side) in members:
                 continue
             checked += 1
             witness = _witness_digits(code, side, ks, len(digits))
@@ -140,7 +144,7 @@ def _family_complement_check(
     denom = lcm(union.denom, family.denom)
     u, f = denom // union.denom, denom // family.denom
     actual = [(lo * u, hi * u) for lo, hi in _holes(union)]
-    expected = sorted((lo * f, hi * f) for _, gaps in family.levels for lo, hi in gaps.values())
+    expected = sorted((lo * f, hi * f) for _, gaps in family.levels for lo, hi in zip(gaps.los, gaps.his))
     ok = actual == expected
     return Check(
         "complement-equals-family",

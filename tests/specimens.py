@@ -3,7 +3,8 @@
 Every derived constant below was computed by hand from the construction
 rules (depth lengths d_n, gap endpoints, closed-form series sums) and fixed
 here first; the tests compare library output against these numbers, never
-the other way around.
+the other way around. gap_refs turns a gap-family level back into the
+(code tuple, side) pairs that gap_bounds takes.
 """
 
 from fractions import Fraction as F
@@ -14,6 +15,13 @@ from cantorval import DoublingPattern, RatioSequence
 EX1 = RatioSequence(prefix=(), period=(F(7, 15), F(5, 21)))
 EX2 = RatioSequence(prefix=(), period=(F(8, 21), F(11, 24), F(7, 33)))
 EX3 = RatioSequence(prefix=(), period=(F(25, 51), F(23, 75), F(17, 69)))
+
+
+
+def gap_refs(gaps):
+    """The (code tuple, side) pair of each row of a family level, in its order."""
+    return [(tuple(map(int, code)), side) for code, side in zip(gaps.codes, gaps.sides)]
+
 
 EX1_MEASURE = F(8, 5)
 EX2_MEASURE = F(13, 7)

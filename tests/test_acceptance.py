@@ -52,6 +52,7 @@ from specimens import (
     EX2_MEASURE,
     EX3,
     EX3_MEASURE,
+    gap_refs,
 )
 
 EXAMPLES = [(EX1, EX1_MEASURE), (EX2, EX2_MEASURE), (EX3, EX3_MEASURE)]
@@ -162,10 +163,10 @@ def test_criterion_06_gap_forest(capsys):
     with criterion(capsys, 6, "family counts, disjointness, extreme ends, positive limits"):
         start = time.perf_counter()
         ks = small_ratio_indices(EX1, 0, 4)
-        family = gap_family(EX1, (), 4)
+        levels = {n: gap_refs(gaps) for n, gaps in gap_family(EX1, (), 4).levels}
         spread = F(0)
         for n in range(1, 5):
-            gaps = [gap_bounds(EX1, ref) for ref in family.level(n)]
+            gaps = [gap_bounds(EX1, ref) for ref in levels[n]]
             assert len(gaps) == 2 * 3 ** (n - 1)
             holes = complement_gaps(diff_approximation(EX1, ks[n - 1]), ClosedInterval(F(-1), F(1)))
             for g in gaps:
@@ -173,7 +174,7 @@ def test_criterion_06_gap_forest(capsys):
             all_so_far = sorted(
                 (
                     gap_bounds(EX1, ref)
-                    for lvl, refs in family.levels
+                    for lvl, refs in levels.items()
                     if lvl <= n
                     for ref in refs
                 ),
@@ -184,7 +185,7 @@ def test_criterion_06_gap_forest(capsys):
             spread += depth_length(EX1, ks[n - 1] - 1) - depth_length(EX1, ks[n - 1])
             left_code, right_code = extreme_codes(EX1, (), n)
             left, right = (left_code, 0), (right_code, 1)
-            assert left in family.level(n) and right in family.level(n)
+            assert left in levels[n] and right in levels[n]
             assert gap_bounds(EX1, left).hi == -1 + spread
             assert gap_bounds(EX1, right).lo == 1 - spread
         lo, hi = extreme_limits(EX1, ())

@@ -1003,16 +1003,22 @@ class TestJsonWriter:
 
         # a deterministic count of the bytes Python allocates, not a timing
         monkeypatch.setattr(sys, "stdout", Sink())
-        # render's last row holds as many parts as approx's union
-        for argv in (["approx"], ["render", "--format", "json"]):
+        # render's last row holds as many parts as approx's union; EX1's gap
+        # family levels 1..10 hold 59,048 gaps
+        requests = (
+            (["approx", "--spec", SMALL_SPEC, "--depth", "9"], 4.5e6),
+            (["render", "--format", "json", "--spec", SMALL_SPEC, "--depth", "9"], 4.5e6),
+            (["gaps", "--spec", EX1_SPEC, "--depth", "10"], 16e6),
+        )
+        for argv, bound in requests:
             tracemalloc.start()
             try:
-                code = main([*argv, "--spec", SMALL_SPEC, "--depth", "9"])
+                code = main(argv)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert code == 0
-            assert peak < 4.5e6, f"{argv[0]}: peak {peak / 1e6:.2f} MB"
+            assert peak < bound, f"{argv[0]}: peak {peak / 1e6:.2f} MB"
 
     def test_render_rows_of_many_chunks_match_json_dumps(self, capsys):
         # the last row's 3^9 parts span five chunks, nested in the rows list

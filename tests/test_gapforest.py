@@ -44,6 +44,7 @@ from specimens import (
     EX3,
     EX3_MEASURE,
     FULL_TWO_FIFTHS,
+    gap_refs,
 )
 from strategies import ratio_entries, ratio_sequences
 
@@ -144,11 +145,11 @@ class TestBaseAndIndices:
 
 class TestFamily:
     def test_level_sizes(self):
-        family = gap_family(EX1, (), 4)
+        levels = dict(gap_family(EX1, (), 4).levels)
         for n, size in EX1_LEVEL_SIZES.items():
-            assert len(family.level(n)) == size
-        with pytest.raises(KeyError):
-            family.level(5)
+            gaps = levels[n]
+            assert len(gaps) == len(gaps.codes) == len(gaps.sides) == len(gaps.los) == len(gaps.his) == size
+        assert 5 not in levels
 
     def test_budget_counts_every_gap_before_building(self):
         # levels 1..7 hold 2 + 6 + ... + 2*3^6 = 3^7 - 1 gaps
@@ -162,16 +163,15 @@ class TestFamily:
         assert exc.value.needed == f"3**{10**9} - 1"
 
     def test_codes_have_level_length_and_small_tail(self):
-        family = gap_family(EX1, (), 3)
-        for n in (1, 2, 3):
-            for code, side in family.level(n):
-                assert len(code) == EX1_K[n] - 1
+        for n, gaps in gap_family(EX1, (), 3).levels:
+            for code, side in zip(gaps.codes, gaps.sides):
+                assert len(code) == EX1_K[n] - 1 and set(code) <= set("012")
                 assert side in (0, 1)
 
     def test_gaps_strictly_separated_and_persistent(self):
         family = gap_family(EX1, (), 3)
         bounds = sorted(
-            (gap_bounds(EX1, ref) for _, refs in family.levels for ref in refs), key=attrgetter("lo")
+            (gap_bounds(EX1, ref) for _, gaps in family.levels for ref in gap_refs(gaps)), key=attrgetter("lo")
         )
         for a, b in zip(bounds, bounds[1:]):
             assert a.hi < b.lo
@@ -186,8 +186,8 @@ class TestFamily:
             family = gap_family(EX1, (), n)
             expected = sorted(
                 (g.lo, g.hi)
-                for _, refs in family.levels
-                for g in (gap_bounds(EX1, ref) for ref in refs)
+                for _, gaps in family.levels
+                for g in (gap_bounds(EX1, ref) for ref in gap_refs(gaps))
             )
             union = diff_approximation(EX1, EX1_K[n])
             actual = [(g.lo, g.hi) for g in complement_gaps(union, hull)]
@@ -199,12 +199,9 @@ class TestFamily:
         seq, root, upto, base = request_
         family = gap_family(seq, root, upto, base)
         rows = {}
+        built = []
         for n, gaps in family.levels:
-            # each level comes out in (code, side) order, which to_json keeps
-            assert list(gaps) == sorted(gaps)
-            for ref, ends in gaps.items():
-                bounds = gap_bounds(seq, ref)
-                assert ends == (bounds.lo * family.denom, bounds.hi * family.denom)
+            refs = gap_refs(gaps)
             rows[str(n)] = [
                 {
                     "code": code_str(ref[0]),
@@ -212,11 +209,32 @@ class TestFamily:
                     "lo": format_rational(gap_bounds(seq, ref).lo),
                     "hi": format_rational(gap_bounds(seq, ref).hi),
                 }
-                for ref in sorted(gaps)
+                for ref in sorted(refs)
             ]
+            built.append((n, dict(zip(refs, zip(gaps.los, gaps.his)))))
         assert family.to_json() == {"root": code_str(root), "k0": base, "levels": rows}
         # the same gaps as every level built from all earlier ones; dicts compare unordered
-        assert family.levels == rebuilt_levels(seq, root, upto, base, family.denom)
+        assert tuple(built) == rebuilt_levels(seq, root, upto, base, family.denom)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_requests())
+    def test_levels_are_sorted_columns_of_digit_strings(self, request_):
+        seq, root, upto, base = request_
+        family = gap_family(seq, root, upto, base)
+        m = first_level(seq, root, base)
+        ks = small_ratio_indices(seq, base, upto)
+        assert [n for n, _ in family.levels] == list(range(m, upto + 1))
+        for n, gaps in family.levels:
+            assert len(gaps.codes) == len(gaps.sides) == len(gaps.los) == len(gaps.his) == 2 * 3 ** (n - m)
+            for code in gaps.codes:
+                assert len(code) == ks[n - 1] - 1 and set(code) <= set("012")
+                assert code.startswith(code_str(root))
+            # digit strings of one length sort as their digit tuples do
+            rows = list(zip(gaps.codes, gaps.sides))
+            assert rows == sorted(rows) and set(gaps.sides) <= {0, 1}
+            for ref, lo, hi in zip(gap_refs(gaps), gaps.los, gaps.his):
+                bounds = gap_bounds(seq, ref)
+                assert (lo, hi) == (bounds.lo * family.denom, bounds.hi * family.denom)
 
     def test_first_level_at_deeper_roots(self):
         assert first_level(EX1, ()) == 1
@@ -239,15 +257,15 @@ class TestExtremes:
         assert extreme_codes(EX1, (), 2) == (EX1_P2, EX1_Q2)
 
     def test_extreme_gap_ends_match_frozen_values(self):
-        family = gap_family(EX1, (), 2)
+        levels = {n: gap_refs(gaps) for n, gaps in gap_family(EX1, (), 2).levels}
         for n in (1, 2):
             left_code, right_code = extreme_codes(EX1, (), n)
             left, right = (left_code, 0), (right_code, 1)
-            assert left in family.level(n) and right in family.level(n)
+            assert left in levels[n] and right in levels[n]
             assert gap_bounds(EX1, left).hi == EX1_EXTREME_RIGHT[n]
             assert gap_bounds(EX1, right).lo == EX1_EXTREME_LEFT[n]
             # they are the innermost gaps of their level on either side of 0
-            bounds = [gap_bounds(EX1, ref) for ref in family.level(n)]
+            bounds = [gap_bounds(EX1, ref) for ref in levels[n]]
             assert gap_bounds(EX1, left) == max(
                 (b for b in bounds if b.hi < 0), key=lambda b: b.hi
             )

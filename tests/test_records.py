@@ -18,7 +18,7 @@ import pytest
 
 from cantorval.classify import Certificate, Check, DepthRow, ResidualEntry
 from cantorval.construction import RatioSequence
-from cantorval.gapforest import GapFamily
+from cantorval.gapforest import FamilyLevel, GapFamily
 from cantorval.intervals import ClosedInterval, IntervalUnion, OpenInterval
 from cantorval.render import DepthStack, StackRow
 from cantorval.series import DoublingPattern, MultigeometricForm, MultigeometricSeries
@@ -163,8 +163,9 @@ def test_interval_classes_do_not_order_against_each_other():
 
 
 def test_hash_of_a_family_with_gaps_is_refused():
-    family = build(GapFamily, levels=((1, {((0,), 0): (1, 2)}),))
-    assert family == build(GapFamily, levels=((1, {((0,), 0): (1, 2)}),))
+    family = build(GapFamily, levels=((1, FamilyLevel(["0"], [0], [1], [2])),))
+    assert family == build(GapFamily, levels=((1, FamilyLevel(["0"], [0], [1], [2])),))
+    assert family != build(GapFamily, levels=((1, FamilyLevel(["0"], [0], [1], [3])),))
     with pytest.raises(TypeError):
         hash(family)
 

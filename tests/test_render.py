@@ -16,6 +16,7 @@ from cantorval import (
     smallest_valid_base,
     svg_depth_stack,
 )
+from specimens import gap_refs
 from strategies import ratio_sequences
 
 THIRD = F(1, 3)
@@ -33,8 +34,8 @@ def family_gaps(seq, depth):
     except AssumptionError:
         return {}
     return {
-        k: [(g.lo, g.hi) for g in (gap_bounds(seq, ref) for ref in family.level(n))]
-        for n, k in enumerate(ks, 1)
+        k: [(g.lo, g.hi) for g in (gap_bounds(seq, ref) for ref in gap_refs(gaps))]
+        for k, (_, gaps) in zip(ks, family.levels)
     }
 
 
