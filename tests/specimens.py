@@ -16,13 +16,6 @@ EX1 = RatioSequence(prefix=(), period=(F(7, 15), F(5, 21)))
 EX2 = RatioSequence(prefix=(), period=(F(8, 21), F(11, 24), F(7, 33)))
 EX3 = RatioSequence(prefix=(), period=(F(25, 51), F(23, 75), F(17, 69)))
 
-
-
-def gap_refs(gaps):
-    """The (code tuple, side) pair of each row of a family level, in its order."""
-    return [(tuple(map(int, code)), side) for code, side in zip(gaps.codes, gaps.sides)]
-
-
 EX1_MEASURE = F(8, 5)
 EX2_MEASURE = F(13, 7)
 EX3_MEASURE = F(26, 17)
@@ -101,3 +94,8 @@ EX1_PERTURBED = RatioSequence(
 # series whose subsum set the Kakeya-style comparison cannot settle:
 # terms 1, 1, 1/9, 1/9, 1/81, ... alternate between excess and shortfall
 INCONCLUSIVE_SERIES_JSON = {"prefix": [], "block": ["1", "1"], "ratio": "1/9"}
+
+
+def gap_refs(gaps):
+    """The (code tuple, side) pair of each row of a family level, in its order."""
+    return [(tuple(map(int, code)), side) for code, side in zip(gaps.codes, gaps.sides)]
