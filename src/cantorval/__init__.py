@@ -26,11 +26,12 @@ _EXPORTS = {
     "construction": "RatioSequence cantor_approximation depth_length kept_interval length_drop",
     "diffsets": "code_str diff_interval gap_at gap_bounds overlap_at",
     "gapmeasure": "gap_union_measure small_index_series small_ratio_indices smallest_valid_base",
-    "gapforest": "GapFamily extreme_codes extreme_limits first_level gap_family gap_union_partial",
+    "gapforest": "GapFamily first_level gap_family gap_union_partial",
     "classify": "RULE_CANTOR RULE_CANTORVAL RULE_FINITE RULE_FULL RULE_UNKNOWN VERDICT_CANTOR "
     "VERDICT_CANTORVAL VERDICT_FINITE VERDICT_FULL VERDICT_UNKNOWN Certificate DepthRow "
     "ResidualEntry cantorval_measure classify cover_offset depth_report equation_residuals residuals_vanish",
-    "verifier": "Check cover_alignment cover_witness verification_passed verify_certificate",
+    "verifier": "Check verification_passed verify_certificate",
+    "cover": "cover_alignment cover_witness extreme_codes extreme_limits",
     "series": "DoublingPattern MultigeometricForm MultigeometricSeries difference_measure is_fast_convergent "
     "kakeya_classify multigeometric_form ratios_from_series series_from_pattern series_from_ratios subsum_cover",
     "render": "DepthStack StackRow ascii_depth_stack depth_stack svg_depth_stack",

@@ -1,12 +1,11 @@
-"""The `classify`, `measure` and `verify` commands, imported only when one of
-them runs. `verify` alone imports the verifier."""
+"""The `classify` and `measure` commands, imported only when one of them runs."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._cli_common import _depth, _lambda_spec, _load_input
-from .classify import VERDICT_CANTOR, Certificate, classify
+from ._cli_common import _lambda_spec, _load_input
+from .classify import classify
 from .errors import AssumptionError
 from .rationals import format_rational
 
@@ -46,21 +45,3 @@ def cmd_measure(args, budget):
     measure = format_rational(cert.measure)
     return measure + "\n" if args.format == "text" else {"verdict": cert.verdict, "measure": measure}, 0
 
-
-def cmd_verify(args, budget):
-    from .verifier import verification_passed, verify_certificate
-
-    cert = Certificate.from_json(_load_input(args.spec))
-    # a CantorSet's measure check compares depths depth - 1 and depth
-    depth = _depth(args, 6, minimum=1 if cert.verdict == VERDICT_CANTOR else 0)
-    checks = verify_certificate(cert, depth=depth, budget=budget)
-    passed = verification_passed(checks)
-    status = 0 if passed else 1
-    if args.format == "json":
-        return {"passed": passed, "checks": [c.to_json() for c in checks]}, status
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name}" + (f" — {c.detail}" if c.detail else "")
-        for c in checks
-    ]
-    lines.append("verification " + ("passed" if passed else "FAILED"))
-    return "\n".join(lines) + "\n", status

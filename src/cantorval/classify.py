@@ -14,7 +14,8 @@ The decision order:
 A certificate records the verdict, the rule applied, the exact witnesses,
 and the input itself, so that every claim can be recomputed from scratch.
 The verifier that recomputes them lives in `cantorval.verifier`, which only
-`verify` runs; its exported names are still reachable here.
+`verify` runs, and the covering witnesses in `cantorval.cover`, which no
+command runs; the exported names of both are still reachable here.
 """
 
 from __future__ import annotations
@@ -268,11 +269,11 @@ def classify(
 
 
 def __getattr__(name: str):
-    """The verifier's exported names, defined in cantorval.verifier, are read here too."""
+    """The exported names of cantorval.verifier and cantorval.cover are read here too."""
     from . import _HOME
 
-    if _HOME.get(name) == "verifier":
-        from . import verifier
+    if _HOME.get(name) in ("verifier", "cover"):
+        from importlib import import_module
 
-        return getattr(verifier, name)
+        return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

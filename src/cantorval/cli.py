@@ -8,10 +8,11 @@ plain text, or self-contained SVG. Exit codes are stable: 0 success,
 
 This module holds what every request runs: the direct argv parser, main, the
 command table and the writer. The command table names each command's handler
-module (`_cli_approx`, `_cli_certify`, `_cli_gaps`, `_cli_render`,
-`_cli_series`), which main imports when the command runs, so a request
-compiles no other command's code; the argparse parser sits in `_cli_argparse`,
-imported only for help and an argv that the direct parser declines.
+module (`_cli_approx`, `_cli_certify`, `_cli_examples`, `_cli_gaps`,
+`_cli_render`, `_cli_series`, `_cli_verify`), which main imports when the
+command runs, so a request compiles no other command's code; the argparse
+parser sits in `_cli_argparse`, imported only for help and an argv that the
+direct parser declines.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ _COMMANDS = {
     "approx": ("_cli_approx", "difference-set approximation at a depth", ("spec", "depth", "budget"), _JSON_TEXT),
     "gaps": ("_cli_gaps", "persistent gap family by level", ("spec", "depth", "budget"), _JSON_TEXT),
     "series": ("_cli_series", "convert between ratio, series, and doubling-pattern forms", ("spec",), _JSON_TEXT),
-    "verify": ("_cli_certify", "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
+    "verify": ("_cli_verify", "recheck a certificate and its invariants", ("spec", "depth", "budget"), _JSON_TEXT),
     "render": (
         "_cli_render", "depth-stack picture of the difference set", ("spec", "depth", "budget"), ("svg", "json", "text")
     ),
-    "examples": ("_cli_series", "reproduce the three bundled examples end to end", (), _JSON_TEXT),
+    "examples": ("_cli_examples", "reproduce the three bundled examples end to end", (), _JSON_TEXT),
 }
 _OPTIONS = {
     "spec": (str, "spec file path, or inline JSON starting with '{'"),

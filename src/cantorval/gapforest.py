@@ -1,4 +1,4 @@
-"""Families of persistent gaps, their bounding codes and partial lengths.
+"""Families of persistent gaps and their partial lengths.
 
 When the ratio sequence drops below 1/3 at infinitely many depths while also
 staying at or above 1/3 infinitely often, the gaps opened at the small-ratio
@@ -7,9 +7,9 @@ those candidate persistent gaps one level from the last, as parallel columns
 of digit-string codes, sides and ends: each gap, named by its (code, side)
 pair, has three descendants (itself and the two gaps that flank the child over
 it) and carries its left end, so its ends are that end plus one of two
-offsets per side, integers over one denominator. It computes the
-two extreme codes that bound each level, their limits and the family's
-partial length. The closed-form sums, the small-ratio depths and the base
+offsets per side, integers over one denominator. It computes the family's
+partial length too; the extreme codes that bound each level and their limits
+are `cover`'s. The closed-form sums, the small-ratio depths and the base
 checks are `gapmeasure`'s, which `classify` runs without this module; the
 names this module calls from there are bound here too.
 """
@@ -24,7 +24,7 @@ from . import diffsets
 from .budget import charge_power
 from .construction import THIRD, RatioSequence, depth_length
 from .errors import AssumptionError
-from .gapmeasure import gap_union_measure, small_index_series, small_ratio_indices
+from .gapmeasure import gap_union_measure, small_ratio_indices
 from .rationals import format_scaled
 from .records import Record
 
@@ -45,28 +45,6 @@ def first_level(seq: RatioSequence, root: Sequence[int], base: int = 0) -> int:
     # at most k - base small-ratio depths lie in (base, k], so the last one is past k
     ks = small_ratio_indices(seq, base, k - base + 1)
     return bisect_right(ks, k) + 1
-
-
-def extreme_codes(
-    seq: RatioSequence, root: Sequence[int], level: int, base: int = 0
-) -> tuple[diffsets.Code, diffsets.Code]:
-    """Leftmost and rightmost bounding codes at the given family level.
-
-    The left code descends through 0-runs broken by single 1 digits at
-    small-ratio depths; the right code mirrors it with 2-runs.
-    """
-    digits = diffsets.validate_code(root)
-    k = len(digits)
-    m = first_level(seq, digits, base)
-    if level < m:
-        raise ValueError(f"level {level} is below the first family level {m}")
-    ks = small_ratio_indices(seq, base, level)
-    left = list(digits) + [0] * (ks[m - 1] - k - 1)
-    right = list(digits) + [2] * (ks[m - 1] - k - 1)
-    for l in range(m, level):
-        left += [1] + [0] * (ks[l] - ks[l - 1] - 1)
-        right += [1] + [2] * (ks[l] - ks[l - 1] - 1)
-    return tuple(left), tuple(right)
 
 
 class FamilyLevel(Record):
@@ -170,18 +148,3 @@ def gap_union_partial(seq: RatioSequence, terms: int) -> tuple[Fraction, Fractio
         Fraction(0),
     )
     return partial, total - partial
-
-
-def extreme_limits(seq: RatioSequence, root: Sequence[int], base: int = 0) -> tuple[Fraction, Fraction]:
-    """Limits of the bounding gap endpoints under the root code.
-
-    The right ends of the leftmost bounding gaps increase to the first value;
-    the left ends of the rightmost bounding gaps decrease to the second. A
-    strictly positive spread between them is what leaves room for a whole
-    interval of the limit set inside the root's coded interval.
-    """
-    digits = diffsets.validate_code(root)
-    m = first_level(seq, digits, base)
-    iv = diffsets.diff_interval(seq, digits)
-    spread = small_index_series(seq, base, growth=1, shrink=Fraction(1), start=m)
-    return iv.lo + spread, iv.hi - spread

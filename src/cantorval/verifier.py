@@ -1,22 +1,25 @@
 """Certificate verification: every claim of a certificate recomputed from scratch.
 
 `verify_certificate` reclassifies the certified sequence and compares field by
-field, then runs the verdict's geometric checks at a depth: the cover
-alignment of each non-family gap inside its witness interval, the family gaps
-against the holes of the approximation, the union against its coded pieces,
-and the pairwise Minkowski oracle. Only `verify` and library callers run this
-module; `cantorval.classify` still resolves its names.
+field, then runs the verdict's checks at a depth: a full interval's
+approximations against the hull; a finite union's stable union, its coded
+pieces, its stabilization and its measure; a Cantor set's strictly falling
+measure; a Cantorval's cover equations and, at base 0, its closed-form and
+partial measures and the family gaps against the holes of the approximation.
+Every verdict ends with the pairwise Minkowski oracle and the approximation
+against its coded pieces. Only `verify` and library callers run this module;
+`cantorval.classify` still resolves its names, and those of `cover`, whose
+covering witnesses no check here uses.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import compress
 from math import lcm
 from operator import lt
 
-from .budget import charge, charge_power, resolve_budget
+from .budget import charge_power, resolve_budget
 from .classify import (
     VERDICT_CANTOR,
     VERDICT_CANTORVAL,
@@ -28,105 +31,13 @@ from .classify import (
     equation_residuals,
     residuals_vanish,
 )
-from .construction import THIRD, RatioSequence, cantor_approximation
-from .diffsets import Code, code_str, scaled_gap, scaled_interval, validate_code
+from .construction import RatioSequence, cantor_approximation
 from .errors import AssumptionError, SpecValidationError
 from .gapforest import gap_family, gap_union_partial, small_ratio_count
 from .gapmeasure import gap_union_measure, small_ratio_indices
 from .intervals import minkowski_diff
 from .lattice import IntervalUnion, diff_approximation
 from .records import Record
-
-
-def _witness_digits(digits: Code, side: int, ks: list[int], root_len: int) -> Code:
-    """Pure code construction of the covering witness for a non-family gap.
-
-    When the last movable digit of the gap's code falls strictly between two
-    small-ratio depths, stepping it toward the gap and padding gives the
-    witness. At a small-ratio depth, the witness is the parent gap's, padded,
-    so the loop goes on from the parent. Padding puts 1 at the intermediate
-    small-ratio depths and the side's extreme digit everywhere else.
-    """
-    end = len(digits) + 1
-    tail: Code = ()
-    while True:
-        last = end - 1
-        while last > 0 and digits[last - 1] == 2 * side:
-            last -= 1
-        if last <= root_len:
-            raise ValueError("gap is a base member of the persistent family; no witness exists")
-        filler = 2 - 2 * side
-        tail = tuple(1 if j in ks and j < end else filler for j in range(last + 1, end + 1)) + tail
-        if last not in ks:
-            return digits[: last - 1] + (digits[last - 1] + 2 * side - 1,) + tail
-        side, end = digits[last - 1] - 1 + side, last
-
-
-def cover_witness(
-    seq: RatioSequence, code: Sequence[int], side: int, base: int = 0, root: Sequence[int] = ()
-) -> Code:
-    """Code of the interval that covers a non-family gap with the exact inset."""
-    digits = validate_code(code)
-    root_digits = validate_code(root)
-    if digits[: len(root_digits)] != root_digits:
-        raise ValueError("gap code must extend the root code")
-    kn = len(digits) + 1
-    if seq.ratio_at(kn) >= THIRD:
-        raise AssumptionError(
-            f"no gap below code {code_str(digits)}: ratio at depth {kn} is not below 1/3"
-        )
-    # the kn-th small-ratio depth beyond the base is already >= kn
-    ks = small_ratio_indices(seq, base, kn)
-    if kn not in ks:
-        raise AssumptionError(f"depth {kn} is not a small-ratio depth beyond base {base}")
-    return _witness_digits(digits, side, ks, len(root_digits))
-
-
-def cover_alignment(
-    seq: RatioSequence,
-    level: int,
-    base: int = 0,
-    root: Sequence[int] = (),
-    budget: int | None = None,
-) -> tuple[int, list[str]]:
-    """Exhaustively check one family level: every gap outside the family must
-    sit inside its witness interval at exactly the cover offset.
-
-    Returns (number of gaps checked, failure descriptions).
-    """
-    digits = validate_code(root)
-    # the family is charged before the depths up to its level are listed
-    gaps = gap_family(seq, digits, level, base, budget).levels[-1][1]
-    members = {(tuple(map(int, code)), side) for code, side in zip(gaps.codes, gaps.sides)}
-    ks = small_ratio_indices(seq, base, level + 1)
-    kn = ks[level - 1]
-    charge(2 * 3 ** (kn - 1 - len(digits)), budget)
-    # twice the next level's cover offset, 3 d(k) + d(k - 1), over the table's denominator
-    k = ks[level]
-    table = seq.depth_table(k)
-    twice_offset = 3 * table.ints[k] + table.ints[k - 1]
-    # the left end of each code's interval in the walk's order, carried one digit at a time
-    lefts = [scaled_interval(table, digits)[0]]
-    for w in table.drops[len(digits) : kn - 1]:
-        lefts = [x + step for x in lefts for step in (0, w, 2 * w)]
-
-    checked = 0
-    failures: list[str] = []
-    for tail, left in zip(itertools.product((0, 1, 2), repeat=kn - 1 - len(digits)), lefts):
-        code = digits + tail
-        for side in (0, 1):
-            if (code, side) in members:
-                continue
-            checked += 1
-            witness = _witness_digits(code, side, ks, len(digits))
-            w_left, w_right = scaled_interval(table, witness)
-            g_left, g_right = scaled_gap(table, left, kn - 1, side)
-            aligned = 2 * (g_left - w_left) == twice_offset or 2 * (w_right - g_right) == twice_offset
-            if not (aligned and w_left <= g_left and g_right <= w_right):
-                failures.append(
-                    f"gap code={code_str(code)} side={side} witness={code_str(witness)}"
-                )
-    return checked, failures
 
 
 class Check(Record, json=True):
@@ -158,8 +69,9 @@ def _coded_pieces_check(
 ) -> Check:
     """The union must be exactly the union of the 3^depth coded intervals, checked
     without merging them: their left ends come from the digit weights one level at
-    a time, every piece must lie inside one part, and every part must be covered
-    from its left end to its right end without a hole."""
+    a time and are swept once, sorted. Every piece has width 2 d_depth, so a run
+    of overlapping pieces ends wherever the next left end lies beyond the last
+    piece's right end, and the runs must be the parts, end for end."""
     charge_power(3, depth, budget)
     table = seq.depth_table(depth)
     denom = table.denom
@@ -167,22 +79,13 @@ def _coded_pieces_check(
     for w in table.drops:
         lefts = [x + k * w for x in lefts for k in (0, 1, 2)]
     lefts.sort()
+    rights = list(map((2 * table.ints[depth]).__add__, lefts))
+    cuts = list(map(lt, rights, lefts[1:]))
     scale = lcm(denom, union.denom)
     f, u = scale // denom, scale // union.denom
-    width = 2 * table.ints[depth] * f
-    los, his = [x * u for x in union.los], [x * u for x in union.his]
-    reach = list(los)  # how far each part is covered from its left end
-    ok = True
-    for lo in lefts:
-        lo *= f
-        i = bisect_right(los, lo) - 1
-        if i < 0 or lo + width > his[i] or lo > reach[i]:
-            ok = False
-            break
-        reach[i] = max(reach[i], lo + width)
-    # pieces have positive length, so a point part is never covered
-    ok = ok and reach == his and all(map(lt, los, his))
-    return Check(name, ok, f"depth {depth}: {len(lefts)} coded pieces vs {len(los)} parts")
+    runs = zip([lefts[0], *compress(lefts[1:], cuts)], [*compress(rights, cuts), rights[-1]])
+    ok = [(lo * f, hi * f) for lo, hi in runs] == [(lo * u, hi * u) for lo, hi in zip(union.los, union.his)]
+    return Check(name, ok, f"depth {depth}: {len(lefts)} coded pieces vs {len(union.los)} parts")
 
 
 def verify_certificate(

@@ -5,6 +5,8 @@ import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
+from math import lcm
+from operator import lt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 from cantorval import (
     AssumptionError,
     Certificate,
+    Check,
     ClosedInterval,
     DepthBudgetError,
+    IntervalUnion,
     RatioSequence,
     VERDICT_CANTOR,
     VERDICT_CANTORVAL,
@@ -57,6 +61,8 @@ from specimens import (
     FULL_TWO_FIFTHS,
 )
 from strategies import ratio_sequences
+
+from cantorval.verifier import _coded_pieces_check
 
 MIXED_PREFIXED = RatioSequence(prefix=(F(1, 4),), period=EX1.period)
 THIRD = F(1, 3)
@@ -385,3 +391,50 @@ class TestVerify:
         # lattice is fine enough that the approximation keeps its true parts
         assert checks["pairwise-oracle-agrees"]
         assert checks["approximation-equals-coded-pieces"]
+
+
+def coded_pieces_piece_by_piece(seq, union, depth):
+    """Reference coded-pieces check, one piece at a time: bisection finds the
+    part each sorted coded piece must lie in, a running reach per part must
+    take in each piece without a hole, and every part must be reached to its
+    right end. This is the loop verify ran before its one sweep."""
+    table = seq.depth_table(depth)
+    lefts = sorted(-table.denom + sum(d * w for d, w in zip(code, table.drops))
+                   for code in itertools.product((0, 1, 2), repeat=depth))
+    scale = lcm(table.denom, union.denom)
+    f, u = scale // table.denom, scale // union.denom
+    width = 2 * table.ints[depth] * f
+    los, his = [x * u for x in union.los], [x * u for x in union.his]
+    reach = list(los)
+    for lo in lefts:
+        lo *= f
+        i = bisect_right(los, lo) - 1
+        if i < 0 or lo + width > his[i] or lo > reach[i]:
+            return False
+        reach[i] = max(reach[i], lo + width)
+    return reach == his and all(map(lt, los, his))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratio_sequences(), st.integers(0, 6), st.data())
+def test_coded_pieces_sweep_agrees_with_the_piece_by_piece_check(seq, depth, data):
+    true = diff_approximation(seq, depth)
+    los, his, denom = list(true.los), list(true.his), true.denom
+    unions = [true, diff_approximation(seq, depth + 1)]
+    i = data.draw(st.integers(0, len(los) - 1), label="part")
+    # the part dropped, and joined with its right neighbour
+    unions.append(IntervalUnion(los[:i] + los[i + 1 :], his[:i] + his[i + 1 :], denom))
+    if i + 1 < len(los):
+        unions.append(IntervalUnion(los[: i + 1] + los[i + 2 :], his[:i] + his[i + 1 :], denom))
+    # one end of the part moved by one lattice unit, where the parts stay a union
+    ends = data.draw(st.sampled_from([los, his]), label="end")
+    ends[i] += data.draw(st.sampled_from([-1, 1]), label="step")
+    try:
+        unions.append(IntervalUnion(los, his, denom))
+    except ValueError:
+        pass
+    for union in unions:
+        expected = coded_pieces_piece_by_piece(seq, union, depth)
+        detail = f"depth {depth}: {3**depth} coded pieces vs {len(union.los)} parts"
+        assert _coded_pieces_check("coded", seq, union, depth, None) == Check("coded", expected, detail)
+    assert coded_pieces_piece_by_piece(seq, true, depth)

@@ -31,7 +31,7 @@ from cantorval import (
     series_from_ratios,
     verify_certificate,
 )
-from cantorval import _cli_approx, _cli_argparse, _cli_series, cli
+from cantorval import _cli_approx, _cli_argparse, _cli_examples, cli
 from cantorval._cli_approx import _union_text
 from cantorval._cli_common import _CHUNK_ROWS, _union_rows
 from cantorval._cli_gaps import _family_rows
@@ -306,8 +306,8 @@ class TestExamples:
         ids=["period", "measure"],
     )
     def test_a_wrong_bundled_example_fails_verification(self, capsys, monkeypatch, field, wrong, message):
-        first, *rest = _cli_series._EXAMPLES
-        monkeypatch.setattr(_cli_series, "_EXAMPLES", ({**first, field: wrong}, *rest))
+        first, *rest = _cli_examples._EXAMPLES
+        monkeypatch.setattr(_cli_examples, "_EXAMPLES", ({**first, field: wrong}, *rest))
         out, err = run(capsys, "examples", expect=1)
         assert (out, err) == ("", f"error: {message}\n")
 

@@ -48,9 +48,9 @@ OWN = {
     "render": {"lattice", "diffsets", "gapmeasure", "gapforest", "render", "_cli_render"},
     "classify": {"gapmeasure", "classify", "_cli_certify"},
     "measure": {"gapmeasure", "classify", "_cli_certify"},
-    "verify": {"lattice", "intervals", "diffsets", "gapmeasure", "gapforest", "classify", "verifier", "_cli_certify"},
+    "verify": {"lattice", "intervals", "diffsets", "gapmeasure", "gapforest", "classify", "verifier", "_cli_verify"},
     "series": {"series", "_cli_series"},
-    "examples": {"gapmeasure", "classify", "series", "_cli_series"},
+    "examples": {"gapmeasure", "classify", "series", "_cli_examples"},
 }
 
 
@@ -222,9 +222,12 @@ def test_the_installed_script_ends_through_run():
 def test_each_command_runs_only_its_own_modules(command):
     # so approx runs the lattice kernel alone, only verify runs the verifier
     # and intervals, gaps runs no classify, classify, measure, series and
-    # examples run none of lattice, intervals, diffsets and the gap family, and
-    # series on a lambda spec runs no classify either
-    assert modules_run(command, *REQUESTS[command]) == ("0", EVERY | OWN[command])
+    # examples run none of lattice, intervals, diffsets and the gap family,
+    # series on a lambda spec runs no classify either, and no command runs the
+    # covering constructions
+    status, ran = modules_run(command, *REQUESTS[command])
+    assert (status, ran) == ("0", EVERY | OWN[command])
+    assert "cover" not in ran
 
 
 def test_the_node_count_tool_lists_the_same_modules():
@@ -233,7 +236,7 @@ def test_the_node_count_tool_lists_the_same_modules():
     assert (head, done.stderr) == (f"every request runs: {' '.join(sorted(EVERY))}", "")
     cells = [row[2:-2].split(" | ") for row in rows]
     listed = {label: set(modules.split(", ")) for label, _, _, modules in cells}
-    assert listed == {**OWN, "classify (Unknown)": OWN["classify"] | {"lattice"}}
+    assert listed == {**OWN, "classify (Unknown)": OWN["classify"] | {"lattice"}, "verify (depth 10)": OWN["verify"]}
     # the functions a request never entered are some of the nodes it compiled
     assert all(0 < int(idle.replace(",", "")) < int(total.replace(",", "")) for _, total, idle, _ in cells)
 

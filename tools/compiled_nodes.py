@@ -6,8 +6,10 @@ runs, the AST nodes they compile and how many of those the request never runs.
 SRC_DIR is the directory that holds the `cantorval` package. Each command
 runs one small request on EX1 (λ = 7/15, 5/21) in a fresh interpreter,
 through `cantorval.cli.main(argv)`; `verify` checks the certificate that
-`classify` gives, and one more `classify` row uses EX1 with its first ratio
-nudged off the cover equation, whose Unknown verdict builds approximations.
+`classify` gives, at depth 2 and, in the `verify (depth 10)` row, at the depth
+perfbench's certify workload verifies EX1 at. One more `classify` row uses EX1
+with its first ratio nudged off the cover equation, whose Unknown verdict
+builds approximations.
 A module counts as run once its code has executed (the package registers
 its submodules unexecuted). A module's nodes are those `ast.walk` yields
 over its parsed source, the measure of what a request without bytecode
@@ -43,6 +45,7 @@ REQUESTS = {
     "render": ["render", "--spec", EX1, "--depth", "2"],
     "series": ["series", "--spec", EX1],
     "verify": ["verify", "--spec", "{cert}", "--depth", "2"],
+    "verify (depth 10)": ["verify", "--spec", "{cert}", "--depth", "10"],
 }
 # prints, as the last line of stderr, the exit status of main(argv), the
 # submodules whose code ran and the (file, first line, name) of each package
