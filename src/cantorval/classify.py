@@ -269,11 +269,10 @@ def classify(
 
 
 def __getattr__(name: str):
-    """The exported names of cantorval.verifier and cantorval.cover are read here too."""
-    from . import _HOME
+    """The exported names of cantorval.verifier and cantorval.cover are read here
+    too, as the package reads them."""
+    from . import _HOME, __getattr__ as exported
 
     if _HOME.get(name) in ("verifier", "cover"):
-        from importlib import import_module
-
-        return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+        return exported(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
