@@ -44,4 +44,3 @@ def cmd_measure(args, budget):
         )
     measure = format_rational(cert.measure)
     return measure + "\n" if args.format == "text" else {"verdict": cert.verdict, "measure": measure}, 0
-

@@ -68,4 +68,3 @@ def cmd_series(args, budget):
         f"{key}: {json.dumps(value, sort_keys=True)}\n" for key, value in sorted(payload.items())
     )
     return text, 0
-
