@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .construction import RatioSequence
 from .errors import SpecValidationError
@@ -78,17 +78,16 @@ _UNION_ROW = '[{0}  "%d/%d",{0}  "%d/%d"{0}]'
 
 
 class _Rows(Record):
-    """A JSON list of count rows cut from one template: cut(a, b) gives the
-    columns of rows a..b-1, and a %d/%d slot's column holds numerators over denom."""
+    """A JSON list of rows cut from one template: row i takes the i-th entry of
+    each column, and a %d/%d slot's column holds numerators over denom."""
 
     template: str
-    count: int
+    columns: list[Sequence]
     denom: int
-    cut: Callable[[int, int], list]
 
 
 def _union_rows(los: Sequence[int], his: Sequence[int], denom: int) -> _Rows:
-    return _Rows(template=_UNION_ROW, count=len(los), denom=denom, cut=lambda a, b: [los[a:b], his[a:b]])
+    return _Rows(_UNION_ROW, [los, his], denom)
 
 
 # bulk output is cut into pieces of at most this many rows
@@ -96,5 +95,5 @@ _CHUNK_ROWS = 4096
 
 
 def _chunks(row: str, rows: _Rows) -> Iterator[str]:
-    for a in range(0, rows.count, _CHUNK_ROWS):
-        yield fill_rows(row, rows.cut(a, a + _CHUNK_ROWS), rows.denom)
+    for a in range(0, len(rows.columns[0]), _CHUNK_ROWS):
+        yield fill_rows(row, [column[a : a + _CHUNK_ROWS] for column in rows.columns], rows.denom)

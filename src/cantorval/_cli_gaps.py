@@ -13,16 +13,11 @@ from .gapmeasure import smallest_valid_base
 _GAP_ROW = '{{{0}  "code": "%s",{0}  "hi": "%d/%d",{0}  "lo": "%d/%d",{0}  "side": %d{0}}}'
 
 
-def _level_rows(gaps, denom: int) -> _Rows:
-    def cut(a: int, b: int) -> list:
-        return [gaps.codes[a:b], gaps.his[a:b], gaps.los[a:b], gaps.sides[a:b]]
-
-    return _Rows(template=_GAP_ROW, count=len(gaps), denom=denom, cut=cut)
-
-
 def _family_rows(family) -> dict:
     """A GapFamily's to_json(), with each level's gaps as _Rows on the family's lattice."""
-    levels = {str(n): _level_rows(gaps, family.denom) for n, gaps in family.levels}
+    levels = {
+        str(n): _Rows(_GAP_ROW, [gaps.codes, gaps.his, gaps.los, gaps.sides], family.denom) for n, gaps in family.levels
+    }
     return {"k0": family.base, "levels": levels, "root": code_str(family.root)}
 
 

@@ -55,16 +55,8 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, with one subparser per command."""
-    # only help and the argv _parse_plain declines load it
-    from ._cli_argparse import build_parser
-
-    return build_parser(_COMMANDS, _OPTIONS)
-
-
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace build_parser().parse_args(argv) gives, for a command
+    """The namespace _cli_argparse's parser gives for argv, for a command
     followed by "--flag value" pairs: each flag one of the command's, spelled in
     full and given once, no value starting with "-", each int value taken by
     int() and the format one of the command's. None for any other argv."""
@@ -107,7 +99,7 @@ def _json(value, indent: str = "\n") -> Iterator[str]:
         yield indent + ends[1]
     elif not isinstance(value, _Rows):
         yield json.dumps(value)
-    elif value.count:
+    elif value.columns[0]:
         # ends are digits, "-" and "/", and codes are digits: nothing to escape
         chunks = _chunks(f",{inner}" + value.template.format(inner), value)
         yield "[" + next(chunks)[1:]  # every row follows a comma but the first
@@ -157,7 +149,10 @@ def main(argv: list[str] | None = None) -> int:
             argv = argv[1:]
         args = _parse_plain(argv)
         if args is None:
-            args = build_parser().parse_args(argv)
+            # only help and the argv _parse_plain declines load argparse
+            from ._cli_argparse import build_parser
+
+            args = build_parser(_COMMANDS, _OPTIONS).parse_args(argv)
         budget = getattr(args, "budget", None)  # series and examples take no --budget
         if budget is not None and budget < 1:
             raise SpecValidationError("--budget must be >= 1")

@@ -35,7 +35,7 @@ from cantorval import _cli_approx, _cli_argparse, _cli_examples, cli
 from cantorval._cli_approx import _union_text
 from cantorval._cli_common import _CHUNK_ROWS, _union_rows
 from cantorval._cli_gaps import _family_rows
-from cantorval.cli import _json, _parse_plain, build_parser, main
+from cantorval.cli import _COMMANDS, _OPTIONS, _json, _parse_plain, main
 from strategies import ratio_sequences
 
 _CORPUS_FILE = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
@@ -588,7 +588,7 @@ class TestExitCodes:
         assert err == f"error: cantorval: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
     def test_a_well_formed_argv_builds_no_parser(self, capsys, monkeypatch):
-        # the builder in _cli_argparse, which cli.build_parser calls, sees every parser built
+        # the builder in _cli_argparse, which cli.main calls, sees every parser built
         built, builder = [], _cli_argparse.build_parser
         monkeypatch.setattr(_cli_argparse, "build_parser", lambda *tables: built.append(1) or builder(*tables))
         run(capsys, "approx", "--spec", EX1_SPEC, "--depth", "1")
@@ -786,10 +786,10 @@ def argvs(draw) -> tuple[list[str], bool]:
 
 
 def _argparse_fields(argv: list[str]) -> dict | None:
-    """vars() of build_parser().parse_args(argv), or None if argparse refuses argv or prints help."""
+    """vars() of the argparse parser's parse_args(argv), or None if argparse refuses argv or prints help."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            return vars(build_parser().parse_args(argv))
+            return vars(_cli_argparse.build_parser(_COMMANDS, _OPTIONS).parse_args(argv))
     except (SpecValidationError, SystemExit):
         return None
 
