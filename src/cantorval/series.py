@@ -230,7 +230,7 @@ class DoublingPattern(Record):
 
 def series_from_pattern(
     pattern: DoublingPattern,
-) -> tuple[MultigeometricSeries, RatioSequence, Certificate]:
+) -> tuple[MultigeometricSeries, RatioSequence, Record]:
     """Series, induced ratio sequence, and Cantorval certificate of a pattern.
 
     Doubling closes the gap a plain term would leave, so the induced ratio

@@ -3,12 +3,16 @@
 No module imports a name it never uses, every private top-level function,
 class and constant is referenced from somewhere other than its own
 definition, every public method is called by the package, its benchmark
-or its tools, no module reads the process environment, and the CLI's command
-table and the handler functions of its handler modules name each other.
+or its tools, no module reads the process environment, the CLI's command
+table and the handler functions of its handler modules name each other, and
+every annotation resolves at run time.
 """
 
 import ast
+import inspect
+import typing
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -226,3 +230,33 @@ def test_command_handlers_reads_the_top_level_functions_of_handler_modules():
     )
     trees = {"_cli_x.py": ast.parse(source), "cli.py": ast.parse("def cmd_c(args, budget):\n    pass\n")}
     assert command_handlers(trees) == {("_cli_x", "cmd_a")}
+
+
+def annotated_definitions(module) -> dict:
+    """Each class, function and method that module defines, by qualified name: a
+    method seen through its classmethod, staticmethod or property, and a function
+    through its functools wrapper."""
+    out = {}
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        members = vars(value).values() if isinstance(value, type) else ()
+        for item in (value, *members):
+            item = inspect.unwrap(getattr(item, "__func__", getattr(item, "fget", item)))
+            if isinstance(item, type) or inspect.isfunction(item):
+                out[item.__qualname__] = item
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_annotation_resolves(path):
+    # typing.get_type_hints evaluates each annotation in the module's globals, so
+    # a name imported only inside a function, or not at all, fails here
+    name = "cantorval" if path.name == "__init__.py" else f"cantorval.{path.stem}"
+    failures = []
+    for qualname, item in sorted(annotated_definitions(import_module(name)).items()):
+        try:
+            typing.get_type_hints(item)
+        except NameError as exc:
+            failures.append(f"{qualname}: {exc}")
+    assert failures == [], f"{path.name} has annotations that do not resolve: {failures}"
